@@ -4,8 +4,9 @@
 // These complement the table benches (which report deterministic virtual
 // time): they demonstrate that the generated-code *structure* itself —
 // independent of the calibrated cost model — favors call-site plans: no
-// per-object dispatch, no type info, no cycle probes; and that in-place
-// reuse beats fresh allocation on deserialization.
+// per-object dispatch, no type info, no cycle probes; and they compare
+// in-place reuse against fresh allocation on deserialization, for a bulk
+// matrix and for a 100-node list whose reuse bookkeeping walks every node.
 #include <benchmark/benchmark.h>
 
 #include "objmodel/heap.hpp"
@@ -122,6 +123,79 @@ void BM_DeserializeCallSiteReusing(benchmark::State& state) {
   f.heap.free_graph(cached);
 }
 BENCHMARK(BM_DeserializeCallSiteReusing);
+
+// ---- 100-node list: fresh allocation vs in-place reuse ---------------------
+// The Table 1 argument under its call-site plan (inline head, dynamic
+// recursive tail, cycle checks on).  Unlike the matrix rows, reuse here has
+// per-node bookkeeping — adopt the cached graph, consume each node, release
+// orphans — so these rows show whether that costs less than the 100
+// allocations (and frees) it saves.
+
+struct ListFixture {
+  om::TypeRegistry types;
+  serial::ClassPlanRegistry class_plans{types};
+  om::Heap heap{types};
+  serial::NodePlan plan;
+  ByteBuffer wire;
+
+  ListFixture() {
+    const om::ClassId node = types.define_class(
+        "LinkedList",
+        {{"val", om::TypeKind::Int}, {"Next", om::TypeKind::Ref}});
+    const om::ClassDescriptor& c = types.get(node);
+    om::ObjRef list = nullptr;
+    for (int i = 99; i >= 0; --i) {
+      om::ObjRef n = heap.alloc(c);
+      n->set<std::int32_t>(c.fields[0], i);
+      n->set_ref(c.fields[1], list);
+      list = n;
+    }
+    plan.expected_class = node;
+    plan.cycle_check = true;
+    serial::NodePlan::FieldAction val;
+    val.field = &c.fields[0];
+    plan.fields.push_back(std::move(val));
+    serial::NodePlan::FieldAction next;
+    next.field = &c.fields[1];
+    next.ref_plan = serial::make_dynamic_node(node);
+    next.ref_plan->cycle_check = true;
+    plan.fields.push_back(std::move(next));
+
+    serial::SerialStats ws;
+    serial::SerialWriter w(class_plans, ws, /*cycle_enabled=*/true);
+    w.write(wire, plan, list);
+    heap.free_graph(list);
+  }
+};
+
+void BM_DeserializeList100Fresh(benchmark::State& state) {
+  ListFixture f;
+  for (auto _ : state) {
+    f.wire.rewind();
+    serial::SerialStats rs;
+    serial::SerialReader r(f.class_plans, f.heap, rs, true);
+    om::ObjRef copy = r.read(f.wire, f.plan);
+    benchmark::DoNotOptimize(copy);
+    f.heap.free_graph(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_DeserializeList100Fresh);
+
+void BM_DeserializeList100Reusing(benchmark::State& state) {
+  ListFixture f;
+  om::ObjRef cached = nullptr;
+  for (auto _ : state) {
+    f.wire.rewind();
+    serial::SerialStats rs;
+    serial::SerialReader r(f.class_plans, f.heap, rs, true);
+    cached = r.read_reusing(f.wire, f.plan, cached);
+    benchmark::DoNotOptimize(cached);
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+  f.heap.free_graph(cached);
+}
+BENCHMARK(BM_DeserializeList100Reusing);
 
 // ---- receive path: copy out vs borrow from the pinned frame ----------------
 // One 8-row matrix whose row payload is Arg(0) bytes, decoded from a

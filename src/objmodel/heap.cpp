@@ -1,9 +1,10 @@
 #include "objmodel/heap.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
+
+#include "support/scratch.hpp"
 
 namespace rmiopt::om {
 
@@ -119,19 +120,11 @@ void collect_referents(const ObjRef obj, std::vector<ObjRef>& out) {
 
 }  // namespace
 
-void Heap::free_graph(ObjRef obj) {
-  if (obj == nullptr) return;
-  std::unordered_set<ObjRef> visited;
-  std::vector<ObjRef> stack{obj};
-  std::vector<ObjRef> order;
-  while (!stack.empty()) {
-    ObjRef o = stack.back();
-    stack.pop_back();
-    if (!visited.insert(o).second) continue;
-    order.push_back(o);
-    collect_referents(o, stack);
-  }
-  for (ObjRef o : order) free(o);
+std::size_t Heap::free_graph(ObjRef obj) {
+  support::Scratch<ObjSet> graph;
+  collect_graph(obj, *graph);
+  graph->for_each([this](ObjRef o) { free(o); });
+  return graph->size();
 }
 
 bool deep_equals(const ObjRef a, const ObjRef b) {
@@ -191,15 +184,10 @@ ObjRef deep_clone(Heap& heap, const ObjRef obj) {
   // First pass: allocate a shallow copy for every node (preserves cycles).
   std::vector<ObjRef> order;
   {
-    std::unordered_set<ObjRef> visited;
-    std::vector<ObjRef> stack{obj};
-    while (!stack.empty()) {
-      ObjRef o = stack.back();
-      stack.pop_back();
-      if (!visited.insert(o).second) continue;
-      order.push_back(o);
-      collect_referents(o, stack);
-    }
+    support::Scratch<ObjSet> graph;
+    collect_graph(obj, *graph);
+    order.reserve(graph->size());
+    graph->for_each([&](ObjRef o) { order.push_back(o); });
   }
   for (ObjRef o : order) {
     const ClassDescriptor& cls = o->cls();
@@ -231,29 +219,30 @@ ObjRef deep_clone(Heap& heap, const ObjRef obj) {
   return copies.at(obj);
 }
 
-void collect_graph(const ObjRef obj, std::unordered_set<Object*>& out) {
+void collect_graph(const ObjRef obj, ObjSet& out) {
   if (obj == nullptr) return;
-  std::vector<ObjRef> stack{obj};
-  while (!stack.empty()) {
-    ObjRef o = stack.back();
-    stack.pop_back();
-    if (!out.insert(o).second) continue;
-    collect_referents(o, stack);
+  support::Scratch<std::vector<ObjRef>> stack;
+  stack->push_back(obj);
+  while (!stack->empty()) {
+    ObjRef o = stack->back();
+    stack->pop_back();
+    if (out.insert(o)) collect_referents(o, *stack);
   }
 }
 
 std::size_t graph_object_count(const ObjRef obj) {
-  std::unordered_set<Object*> visited;
-  collect_graph(obj, visited);
-  return visited.size();
+  support::Scratch<ObjSet> graph;
+  collect_graph(obj, *graph);
+  return graph->size();
 }
 
 GraphExtent graph_extent(const ObjRef obj) {
-  std::unordered_set<Object*> visited;
-  collect_graph(obj, visited);
+  support::Scratch<ObjSet> graph;
+  collect_graph(obj, *graph);
   GraphExtent ext;
-  ext.objects = visited.size();
-  for (Object* o : visited) ext.bytes += sizeof(Object) + o->payload_size();
+  ext.objects = graph->size();
+  graph->for_each(
+      [&](ObjRef o) { ext.bytes += sizeof(Object) + o->payload_size(); });
   return ext;
 }
 

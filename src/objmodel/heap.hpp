@@ -19,10 +19,10 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "objmodel/class_desc.hpp"
+#include "objmodel/obj_set.hpp"
 #include "support/error.hpp"
 
 namespace rmiopt::om {
@@ -231,8 +231,9 @@ class Heap {
 
   // Frees one object (not its referents).
   void free(ObjRef obj);
-  // Frees the whole graph reachable from `obj`; cycle-safe.
-  void free_graph(ObjRef obj);
+  // Frees the whole graph reachable from `obj`; cycle-safe.  Returns the
+  // number of objects freed.
+  std::size_t free_graph(ObjRef obj);
 
   const HeapStats& stats() const { return stats_; }
   const TypeRegistry& types() const { return types_; }
@@ -271,7 +272,9 @@ struct GraphExtent {
 };
 GraphExtent graph_extent(const ObjRef obj);
 
-// Collects every node reachable from `obj` into `out` (cycle-safe).
-void collect_graph(const ObjRef obj, std::unordered_set<Object*>& out);
+// Adds every node reachable from `obj` to `out` (cycle-safe).  Nodes
+// already in `out` are not walked again, so collecting several roots into
+// one set visits shared substructure once.
+void collect_graph(const ObjRef obj, ObjSet& out);
 
 }  // namespace rmiopt::om

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <unordered_set>
+
+#include "support/scratch.hpp"
 
 namespace rmiopt::rmi {
 
@@ -170,17 +171,17 @@ void RmiSystem::stop() {
   // union per machine exactly once.
   for (std::size_t id = 0; id < contexts_.size(); ++id) {
     MachineContext& ctx = *contexts_[id];
-    std::unordered_set<om::Object*> graphs;
+    support::Scratch<om::ObjSet> graphs;
     {
       std::scoped_lock lock(ctx.cache_mu);
       for (auto& [site, slot] : ctx.arg_cache) {
         std::scoped_lock slot_lock(slot->mu);
-        for (om::ObjRef o : slot->cached) om::collect_graph(o, graphs);
+        for (om::ObjRef o : slot->cached) om::collect_graph(o, *graphs);
         slot->cached.clear();
       }
     }
     om::Heap& heap = cluster_.machine(static_cast<std::uint16_t>(id)).heap();
-    for (om::Object* o : graphs) heap.free(o);
+    graphs->for_each([&](om::ObjRef o) { heap.free(o); });
   }
   started_ = false;
 }
@@ -538,10 +539,16 @@ RmiSystem::ReuseSlot& RmiSystem::reuse_slot(MachineContext& ctx,
                                             bool ret_side,
                                             std::uint32_t callsite_id,
                                             std::size_t arity) {
-  std::scoped_lock lock(ctx.cache_mu);
-  auto& map = ret_side ? ctx.ret_cache : ctx.arg_cache;
-  auto& slot = map[callsite_id];
-  if (!slot) slot = std::make_unique<ReuseSlot>();
+  ReuseSlot* slot;
+  {
+    std::scoped_lock lock(ctx.cache_mu);
+    auto& entry = (ret_side ? ctx.ret_cache : ctx.arg_cache)[callsite_id];
+    if (!entry) entry = std::make_unique<ReuseSlot>();
+    slot = entry.get();
+  }
+  // `cached` is guarded by the slot's own mutex: another thread may be
+  // storing its arguments back into it right now.
+  std::scoped_lock lock(slot->mu);
   if (slot->cached.size() < arity) slot->cached.resize(arity, nullptr);
   return *slot;
 }
@@ -551,12 +558,10 @@ void RmiSystem::free_arg_graphs(om::Heap& heap,
                                 serial::SerialStats& pass) {
   // Arguments may share substructure (Figure 8 passes the same object
   // twice), so free the *union* of the graphs exactly once.
-  std::unordered_set<om::Object*> all;
-  for (om::ObjRef a : args) om::collect_graph(a, all);
-  for (om::Object* o : all) {
-    heap.free(o);
-    ++pass.objects_freed;
-  }
+  support::Scratch<om::ObjSet> all;
+  for (om::ObjRef a : args) om::collect_graph(a, *all);
+  all->for_each([&](om::ObjRef o) { heap.free(o); });
+  pass.objects_freed += all->size();
 }
 
 // ---- invocation -------------------------------------------------------------
@@ -1106,9 +1111,7 @@ void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
     // cached marker is never replayed for oneway calls).
     if (give_ownership && value != nullptr) {
       serial::SerialStats pass;
-      const om::GraphExtent ext = om::graph_extent(value);
-      callee.heap().free_graph(value);
-      pass.objects_freed += ext.objects;
+      pass.objects_freed += callee.heap().free_graph(value);
       charge(token.callee_machine, pass);
       callee_ctx.stats.add_pass(pass);
       add_site_pass(token.callsite_id, pass);
@@ -1138,9 +1141,7 @@ void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
       pass.bytes_copied += ext.bytes;
     }
     if (give_ownership && value != nullptr) {
-      const om::GraphExtent ext = om::graph_extent(value);
-      callee.heap().free_graph(value);
-      pass.objects_freed += ext.objects;
+      pass.objects_freed += callee.heap().free_graph(value);
     }
     charge(token.callee_machine, pass);
     callee_ctx.stats.add_pass(pass);
@@ -1187,9 +1188,7 @@ void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
   // retransmits must match the first transmission byte for byte).
   reply.seal_gathered();
   if (give_ownership && value != nullptr) {
-    const om::GraphExtent ext = om::graph_extent(value);
-    callee.heap().free_graph(value);
-    pass.objects_freed += ext.objects;
+    pass.objects_freed += callee.heap().free_graph(value);
   }
   charge(token.callee_machine, pass);
   callee_ctx.stats.add_pass(pass);
@@ -1408,30 +1407,31 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
     reader.enable_borrow(cluster_.cost().gather_min_borrow_bytes);
   }
   call.args.assign(plan.args.size(), nullptr);
-  std::vector<om::ObjRef> cached;
   call.reuse = plan.reuse_args && !site.heavy;
   if (call.reuse) {
     call.slot = &reuse_slot(ctx, /*ret_side=*/false, h.callsite_id,
                             plan.args.size());
     std::scoped_lock lock(call.slot->mu);
-    cached = call.slot->cached;
-    // Guard against concurrent executions of this unmarshaler (Fig. 13:
-    // "temp_arr = null" while in use).
-    std::fill(call.slot->cached.begin(), call.slot->cached.end(), nullptr);
-    // The slot is detached: if the decode throws mid-argument, the reader
-    // must release the old graphs (even ones the stream never reached).
-    reader.adopt_cache_roots(cached);
+    // Take the cached roots and leave nulls behind: the guard against
+    // concurrent executions of this unmarshaler (Fig. 13: "temp_arr =
+    // null" while in use).
+    call.args.swap(call.slot->cached);
+    // The slot is detached, so the reader owns the old graphs: it reuses
+    // them across all arguments and releases what none consumed (or all of
+    // it, if the decode throws).
+    reader.adopt_cache_roots(call.args);
   }
   for (std::size_t i = 0; i < call.args.size(); ++i) {
     if (site.heavy) {
       call.args[i] = reader.read_introspective(env.msg.payload);
     } else if (call.reuse) {
-      call.args[i] = reader.read_reusing(env.msg.payload, *plan.args[i],
-                                         cached[i]);
+      call.args[i] = reader.read_adopted(env.msg.payload, *plan.args[i],
+                                         call.args[i]);
     } else {
       call.args[i] = reader.read(env.msg.payload, *plan.args[i]);
     }
   }
+  if (call.reuse) reader.release_orphans();
   charge(machine_id, pass);
   ctx.stats.add_pass(pass);
   add_site_pass(h.callsite_id, pass);
@@ -1557,9 +1557,7 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
                     call.callsite_id, call.seq);
       if (res.give_ownership && res.value != nullptr) {
         serial::SerialStats pass;
-        const om::GraphExtent ext = om::graph_extent(res.value);
-        m.heap().free_graph(res.value);
-        pass.objects_freed += ext.objects;
+        pass.objects_freed += m.heap().free_graph(res.value);
         charge(machine_id, pass);
         ctx.stats.add_pass(pass);
         add_site_pass(call.callsite_id, pass);

@@ -40,7 +40,7 @@ om::ObjRef SerialReader::fresh_alloc(const om::ClassDescriptor& cls,
       cls.is_array ? heap_.alloc_array(cls, length) : heap_.alloc(cls);
   ++stats_.objects_allocated;
   stats_.bytes_allocated += sizeof(om::Object) + obj->payload_size();
-  fresh_.push_back(obj);
+  book_->fresh.push_back(obj);
   return obj;
 }
 
@@ -57,37 +57,51 @@ om::ObjRef SerialReader::borrowed_alloc(const om::ClassDescriptor& cls,
   stats_.bytes_allocated += sizeof(om::Object) + sizeof(om::BorrowedStorage*);
   ++stats_.recv_segments;
   stats_.recv_bytes_borrowed += psize;
-  fresh_.push_back(obj);
+  book_->fresh.push_back(obj);
   return obj;
 }
 
 void SerialReader::adopt_cache_roots(std::span<const om::ObjRef> roots) {
-  for (om::ObjRef root : roots) om::collect_graph(root, cache_seen_);
+  for (om::ObjRef root : roots) om::collect_graph(root, book_->adopted);
+}
+
+bool SerialReader::consume(om::ObjRef cached) {
+  if (!book_->adopted.erase(cached)) return false;
+  book_->consumed.push_back(cached);
+  ++stats_.objects_reused;
+  return true;
+}
+
+void SerialReader::release_orphans() {
+  book_->adopted.for_each([&](om::ObjRef o) {
+    heap_.free(o);
+    ++stats_.objects_freed;
+  });
+  book_->adopted.clear();
 }
 
 void SerialReader::abandon_pass() {
-  for (om::ObjRef o : fresh_) {
-    heap_.free(o);
-    ++stats_.objects_freed;
-  }
-  for (om::ObjRef o : cache_seen_) {
-    heap_.free(o);
-    ++stats_.objects_freed;
-  }
-  fresh_.clear();
-  cache_seen_.clear();
-  consumed_.clear();
-  handles_.clear();
+  Bookkeeping& b = *book_;
+  for (om::ObjRef o : b.fresh) heap_.free(o);
+  for (om::ObjRef o : b.consumed) heap_.free(o);
+  b.adopted.for_each([&](om::ObjRef o) { heap_.free(o); });
+  stats_.objects_freed += b.fresh.size() + b.consumed.size() + b.adopted.size();
+  b.clear();
 }
 
 void SerialReader::note_handle(om::ObjRef obj, bool node_cycle_check) {
   // Mirrors the writer: a handle was assigned exactly where a probe ran.
-  if (cycle_enabled_ && node_cycle_check) handles_.push_back(obj);
+  if (cycle_enabled_ && node_cycle_check) book_->handles.push_back(obj);
 }
 
 om::ObjRef SerialReader::read(ByteBuffer& in, const NodePlan& plan) {
+  return read_adopted(in, plan, nullptr);
+}
+
+om::ObjRef SerialReader::read_adopted(ByteBuffer& in, const NodePlan& plan,
+                                      om::ObjRef cached) {
   try {
-    return read_node(in, plan, nullptr, /*reuse=*/false);
+    return read_node(in, plan, cached);
   } catch (...) {
     abandon_pass();
     throw;
@@ -96,72 +110,27 @@ om::ObjRef SerialReader::read(ByteBuffer& in, const NodePlan& plan) {
 
 om::ObjRef SerialReader::read_reusing(ByteBuffer& in, const NodePlan& plan,
                                       om::ObjRef cached) {
-  try {
-    return read_reusing_impl(in, plan, cached);
-  } catch (...) {
-    abandon_pass();
-    throw;
-  }
-}
-
-om::ObjRef SerialReader::read_reusing_impl(ByteBuffer& in,
-                                           const NodePlan& plan,
-                                           om::ObjRef cached) {
-  if (cached == nullptr) return read_node(in, plan, nullptr, /*reuse=*/true);
-
-  // Enumerate the cached graph *before* the walk mutates its reference
-  // slots, so unmatched ("orphaned") cache nodes can be released after.
-  std::vector<om::ObjRef> cache_nodes;
-  {
-    std::unordered_set<om::ObjRef> seen;
-    std::vector<om::ObjRef> stack{cached};
-    while (!stack.empty()) {
-      om::ObjRef o = stack.back();
-      stack.pop_back();
-      if (!seen.insert(o).second) continue;
-      cache_nodes.push_back(o);
-      cache_seen_.insert(o);
-      const om::ClassDescriptor& cls = o->cls();
-      if (cls.is_array) {
-        if (cls.elem_kind == om::TypeKind::Ref) {
-          for (std::uint32_t i = 0; i < o->length(); ++i) {
-            if (om::ObjRef r = o->get_elem_ref(i)) stack.push_back(r);
-          }
-        }
-      } else {
-        for (const auto& f : cls.fields) {
-          if (f.kind != om::TypeKind::Ref) continue;
-          if (om::ObjRef r = o->get_ref(f)) stack.push_back(r);
-        }
-      }
-    }
-  }
-
-  om::ObjRef result = read_node(in, plan, cached, /*reuse=*/true);
-
-  if (consumed_.size() != cache_nodes.size()) {
-    for (om::ObjRef o : cache_nodes) {
-      if (consumed_.contains(o)) continue;
-      heap_.free(o);
-      ++stats_.objects_freed;
-      cache_seen_.erase(o);  // released; must not be freed again on abandon
-    }
-  }
-  return result;
+  RMIOPT_CHECK(book_->adopted.empty(),
+               "read_reusing inside an open adopt_cache_roots pass");
+  adopt_cache_roots({&cached, 1});
+  om::ObjRef value = read_adopted(in, plan, cached);
+  release_orphans();
+  return value;
 }
 
 om::ObjRef SerialReader::read_node(ByteBuffer& in, const NodePlan& plan,
-                                   om::ObjRef cached, bool reuse) {
+                                   om::ObjRef cached) {
   if (plan.recurse_to != nullptr) {
-    return read_node(in, *plan.recurse_to, cached, reuse);
+    return read_node(in, *plan.recurse_to, cached);
   }
   const auto tag = static_cast<wire::ObjTag>(in.get_u8());
   if (tag == wire::kTagNull) return nullptr;
   if (tag == wire::kTagHandle) {
     RMIOPT_CHECK(cycle_enabled_, "handle tag without cycle protocol");
     const std::uint64_t idx = in.get_varint();
-    RMIOPT_CHECK(idx < handles_.size(), "dangling back-reference handle");
-    return handles_[idx];
+    RMIOPT_CHECK(idx < book_->handles.size(),
+                 "dangling back-reference handle");
+    return book_->handles[idx];
   }
   RMIOPT_CHECK(tag == wire::kTagInline, "corrupt object tag");
 
@@ -170,7 +139,7 @@ om::ObjRef SerialReader::read_node(ByteBuffer& in, const NodePlan& plan,
     ++stats_.type_decodes;  // hash the descriptor to vtable pointers (§4)
     const om::ClassDescriptor& cls = types_.get(runtime_class);
     return read_body(in, class_plans_.plan_for(runtime_class), cls,
-                     plan.cycle_check, cached, reuse);
+                     plan.cycle_check, cached);
   }
 
   if (plan.type_info == TypeInfoMode::CompactId) {
@@ -180,7 +149,7 @@ om::ObjRef SerialReader::read_node(ByteBuffer& in, const NodePlan& plan,
                  "wire type does not match call-site plan");
   }
   return read_body(in, plan, types_.get(plan.expected_class),
-                   plan.cycle_check, cached, reuse);
+                   plan.cycle_check, cached);
 }
 
 namespace {
@@ -204,8 +173,7 @@ void check_array_length(const ByteBuffer& in, const om::ClassDescriptor& cls,
 
 om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
                                    const om::ClassDescriptor& cls,
-                                   bool node_cycle_check, om::ObjRef cached,
-                                   bool reuse) {
+                                   bool node_cycle_check, om::ObjRef cached) {
   if (cls.is_array) {
     const std::uint64_t wire_length = in.get_varint();
     check_array_length(in, cls, wire_length);
@@ -223,11 +191,9 @@ om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
     // Figure 13: reuse the cached array iff type and size match; otherwise
     // allocate a fresh one ("if an array size is mismatched ... a new
     // array of the correct size is allocated").
-    if (reuse && cached != nullptr && cached->class_id() == cls.id &&
-        cached->length() == length) {
+    if (cached != nullptr && cached->class_id() == cls.id &&
+        cached->length() == length && consume(cached)) {
       obj = cached;
-      consumed_.insert(obj);
-      ++stats_.objects_reused;
       note_handle(obj, node_cycle_check);
       if (prim) {
         if (borrowable && obj->has_borrowed_storage()) {
@@ -256,23 +222,21 @@ om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
         return obj;
       }
       obj = fresh_alloc(cls, length);
-      cached = nullptr;  // shape mismatch: children have no counterpart
+      cached = nullptr;  // no reusable counterpart, so its children have none
       note_handle(obj, node_cycle_check);
     }
     const bool reused_here = cached != nullptr;  // after the branch above
     RMIOPT_CHECK(body.elem_plan != nullptr, "ref array plan lacks element plan");
     for (std::uint32_t i = 0; i < length; ++i) {
       om::ObjRef cached_elem = reused_here ? obj->get_elem_ref(i) : nullptr;
-      obj->set_elem_ref(i, read_node(in, *body.elem_plan, cached_elem, reuse));
+      obj->set_elem_ref(i, read_node(in, *body.elem_plan, cached_elem));
     }
     return obj;
   }
 
   om::ObjRef obj;
-  if (reuse && cached != nullptr && cached->class_id() == cls.id) {
+  if (cached != nullptr && cached->class_id() == cls.id && consume(cached)) {
     obj = cached;
-    consumed_.insert(obj);
-    ++stats_.objects_reused;
   } else {
     obj = fresh_alloc(cls, 0);
     cached = nullptr;
@@ -284,7 +248,7 @@ om::ObjRef SerialReader::read_body(ByteBuffer& in, const NodePlan& body,
     if (f.kind == om::TypeKind::Ref) {
       RMIOPT_CHECK(fa.ref_plan != nullptr, "ref field plan missing");
       om::ObjRef cached_ref = reused_here ? obj->get_ref(f) : nullptr;
-      obj->set_ref(f, read_node(in, *fa.ref_plan, cached_ref, reuse));
+      obj->set_ref(f, read_node(in, *fa.ref_plan, cached_ref));
     } else {
       in.get_bytes(obj->payload() + f.offset, size_of(f.kind));
       ++stats_.fields_marshaled;
@@ -307,8 +271,9 @@ om::ObjRef SerialReader::read_introspective_node(ByteBuffer& in) {
   if (tag == wire::kTagNull) return nullptr;
   if (tag == wire::kTagHandle) {
     const std::uint64_t idx = in.get_varint();
-    RMIOPT_CHECK(idx < handles_.size(), "dangling back-reference handle");
-    return handles_[idx];
+    RMIOPT_CHECK(idx < book_->handles.size(),
+                 "dangling back-reference handle");
+    return book_->handles[idx];
   }
   RMIOPT_CHECK(tag == wire::kTagInline, "corrupt object tag");
 
@@ -322,7 +287,7 @@ om::ObjRef SerialReader::read_introspective_node(ByteBuffer& in) {
     check_array_length(in, *cls, wire_length);
     const auto length = static_cast<std::uint32_t>(wire_length);
     om::ObjRef obj = fresh_alloc(*cls, length);
-    handles_.push_back(obj);
+    book_->handles.push_back(obj);
     if (cls->elem_kind == om::TypeKind::Ref) {
       for (std::uint32_t i = 0; i < length; ++i) {
         obj->set_elem_ref(i, read_introspective_node(in));
@@ -334,7 +299,7 @@ om::ObjRef SerialReader::read_introspective_node(ByteBuffer& in) {
     return obj;
   }
   om::ObjRef obj = fresh_alloc(*cls, 0);
-  handles_.push_back(obj);
+  book_->handles.push_back(obj);
   for (const auto& f : cls->fields) {
     ++stats_.introspected_fields;
     if (f.kind == om::TypeKind::Ref) {

@@ -125,7 +125,7 @@ ObjRef random_graph(Universe& u, SplitMix64& rng, int max_nodes, bool wild) {
     if (t != nullptr && t->class_id() == u.node) root->set_elem_ref(e, t);
   }
   // Anything unreachable from the root is freed to keep accounting exact.
-  std::unordered_set<om::Object*> reachable;
+  om::ObjSet reachable;
   om::collect_graph(root, reachable);
   for (ObjRef o : pool) {
     if (!reachable.contains(o)) u.heap.free(o);

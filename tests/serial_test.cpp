@@ -2,6 +2,8 @@
 // call-site plans, the three wire protocols, and argument reuse.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "serial/class_plans.hpp"
 #include "serial/cycle_table.hpp"
 #include "serial/plan.hpp"
@@ -536,6 +538,213 @@ TEST_F(SerialTest, ReuseRejectsTypeMismatch) {
   EXPECT_EQ(rs.objects_freed, 1u);  // mismatched cache released
   heap.free_graph(l);
   heap.free_graph(result);
+}
+
+// A cached graph with sharing must not let one cached node be matched
+// twice: the previous call sent a 2-node ring A->B->A, this call an acyclic
+// 3-node list.  Reusing A for both the head and the third node would
+// return a 2-node cycle with the head's value overwritten.
+TEST_F(SerialTest, ReuseConsumesEachCachedNodeOnce) {
+  define_node();
+  ObjRef ring = make_list(2, /*cyclic=*/true);
+  ObjRef l2 = make_list(3);
+  auto plan = list_site_plan(true);
+
+  ByteBuffer b1;
+  SerialStats s;
+  SerialWriter w1(class_plans, s, true);
+  w1.write(b1, *plan, ring);
+  SerialStats r1;
+  SerialReader rd1(class_plans, heap, r1, true);
+  ObjRef cached = rd1.read_reusing(b1, *plan, nullptr);
+  ASSERT_EQ(om::graph_object_count(cached), 2u);
+
+  ByteBuffer b2;
+  SerialWriter w2(class_plans, s, true);
+  w2.write(b2, *plan, l2);
+  SerialStats r2;
+  SerialReader rd2(class_plans, heap, r2, true);
+  ObjRef result = rd2.read_reusing(b2, *plan, cached);
+  EXPECT_TRUE(om::deep_equals(result, l2));
+  EXPECT_EQ(om::graph_object_count(result), 3u);
+  EXPECT_EQ(r2.objects_reused, 2u);    // A and B, once each
+  EXPECT_EQ(r2.objects_allocated, 1u);  // the third node is fresh
+  EXPECT_EQ(r2.objects_freed, 0u);
+  heap.free_graph(ring);
+  heap.free_graph(l2);
+  heap.free_graph(result);
+}
+
+// Reused arguments whose cached graphs share substructure: the first call
+// passed X->Y and Y (a back-reference handle), the second passes two 1-node
+// lists.  Arg 0 leaves Y unmatched, but arg 1's cached root *is* Y, so Y
+// must stay alive until the pass releases orphans after the last argument.
+TEST_F(SerialTest, ReuseAcrossArgumentsKeepsSharedCacheNodesAlive) {
+  define_node();
+  auto plan = list_site_plan(true);
+  const om::FieldDescriptor& next = types.get(node_id).fields[1];
+
+  ObjRef x = make_list(2);
+  ObjRef y = x->get_ref(next);
+  ByteBuffer b1;
+  SerialStats s;
+  SerialWriter w1(class_plans, s, true);
+  w1.write(b1, *plan, x);
+  w1.write(b1, *plan, y);  // already written: goes out as a handle
+  SerialStats r1;
+  SerialReader rd1(class_plans, heap, r1, true);
+  std::vector<ObjRef> cached{rd1.read(b1, *plan), rd1.read(b1, *plan)};
+  ASSERT_EQ(cached[0]->get_ref(next), cached[1]);
+
+  ObjRef l1 = make_list(1);
+  ObjRef l2 = make_list(1);
+  l2->set<std::int32_t>(types.get(node_id).fields[0], 7);
+  ByteBuffer b2;
+  SerialWriter w2(class_plans, s, true);
+  w2.write(b2, *plan, l1);
+  w2.write(b2, *plan, l2);
+  SerialStats r2;
+  SerialReader rd2(class_plans, heap, r2, true);
+  rd2.adopt_cache_roots(cached);
+  ObjRef a0 = rd2.read_adopted(b2, *plan, cached[0]);
+  ObjRef a1 = rd2.read_adopted(b2, *plan, cached[1]);
+  rd2.release_orphans();
+  EXPECT_EQ(a0, cached[0]);
+  EXPECT_EQ(a1, cached[1]);
+  EXPECT_TRUE(om::deep_equals(a0, l1));
+  EXPECT_TRUE(om::deep_equals(a1, l2));
+  EXPECT_EQ(r2.objects_reused, 2u);
+  EXPECT_EQ(r2.objects_allocated, 0u);
+  EXPECT_EQ(r2.objects_freed, 0u);
+  heap.free_graph(x);
+  heap.free_graph(l1);
+  heap.free_graph(l2);
+  heap.free_graph(a0);
+  heap.free_graph(a1);
+}
+
+// Orphans are released once per pass, after the last argument, and the
+// adopted graphs are walked once even when two roots share a tail.
+TEST_F(SerialTest, ReleaseOrphansFreesUnmatchedNodesOnce) {
+  define_node();
+  auto plan = list_site_plan(true);
+  const om::FieldDescriptor& next = types.get(node_id).fields[1];
+  // Cached: a 4-node list and a root that shares its tail.
+  ObjRef list = make_list(4);
+  ObjRef tail = list->get_ref(next);  // nodes 1..3
+  ObjRef other = heap.alloc(types.get(node_id));
+  other->set_ref(next, tail);
+  const std::vector<ObjRef> cached{list, other};
+
+  ObjRef l1 = make_list(1);
+  ObjRef l2 = make_list(1);
+  ByteBuffer b;
+  SerialStats s;
+  SerialWriter w(class_plans, s, true);
+  w.write(b, *plan, l1);
+  w.write(b, *plan, l2);
+  SerialStats rs;
+  SerialReader rd(class_plans, heap, rs, true);
+  rd.adopt_cache_roots(cached);
+  ObjRef a0 = rd.read_adopted(b, *plan, cached[0]);
+  ObjRef a1 = rd.read_adopted(b, *plan, cached[1]);
+  EXPECT_EQ(rs.objects_freed, 0u);  // nothing released mid-pass
+  rd.release_orphans();
+  EXPECT_EQ(rs.objects_reused, 2u);
+  EXPECT_EQ(rs.objects_freed, 3u);  // the shared tail, freed exactly once
+  EXPECT_TRUE(om::deep_equals(a0, l1));
+  EXPECT_TRUE(om::deep_equals(a1, l2));
+  heap.free_graph(l1);
+  heap.free_graph(l2);
+  heap.free_graph(a0);
+  heap.free_graph(a1);
+}
+
+// A reuse pass may open while another is still in progress on the same
+// thread (a handler's nested call decodes its reply mid-pass): each reader
+// borrows its own bookkeeping, so neither sees the other's adopted nodes.
+TEST_F(SerialTest, NestedReusePassesKeepSeparateBookkeeping) {
+  define_node();
+  auto plan = list_site_plan(true);
+  auto encode = [&](ObjRef g) {
+    ByteBuffer b;
+    SerialStats s;
+    SerialWriter w(class_plans, s, true);
+    w.write(b, *plan, g);
+    return b;
+  };
+  ObjRef la = make_list(5);
+  ObjRef lb = make_list(3);
+  auto first = [&](ObjRef g) {
+    ByteBuffer b = encode(g);
+    SerialStats rs;
+    SerialReader r(class_plans, heap, rs, true);
+    return r.read_reusing(b, *plan, nullptr);
+  };
+  ObjRef cached_a = first(la);
+  ObjRef cached_b = first(lb);
+
+  ByteBuffer ba = encode(la);
+  ByteBuffer bb = encode(lb);
+  SerialStats outer_stats;
+  SerialReader outer(class_plans, heap, outer_stats, true);
+  const ObjRef roots[] = {cached_a};
+  outer.adopt_cache_roots(roots);
+  SerialStats inner_stats;
+  ObjRef rb;
+  {
+    SerialReader inner(class_plans, heap, inner_stats, true);
+    rb = inner.read_reusing(bb, *plan, cached_b);
+  }
+  ObjRef ra = outer.read_adopted(ba, *plan, cached_a);
+  outer.release_orphans();
+
+  EXPECT_EQ(ra, cached_a);
+  EXPECT_EQ(rb, cached_b);
+  EXPECT_EQ(outer_stats.objects_reused, 5u);
+  EXPECT_EQ(inner_stats.objects_reused, 3u);
+  EXPECT_EQ(outer_stats.objects_freed + inner_stats.objects_freed, 0u);
+  EXPECT_TRUE(om::deep_equals(ra, la));
+  EXPECT_TRUE(om::deep_equals(rb, lb));
+  for (ObjRef g : {la, lb, ra, rb}) heap.free_graph(g);
+}
+
+// Reuse passes on several threads at once each draw on their own thread's
+// recycled bookkeeping.
+TEST_F(SerialTest, ConcurrentReusePassesOnSeveralThreads) {
+  define_node();
+  auto plan = list_site_plan(true);
+  ObjRef source = make_list(50);
+  ByteBuffer wire;
+  SerialStats ws;
+  SerialWriter w(class_plans, ws, true);
+  w.write(wire, *plan, source);
+
+  constexpr int kThreads = 4;
+  std::vector<ObjRef> results(kThreads, nullptr);
+  std::vector<std::uint64_t> reused(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ByteBuffer in = wire;  // each thread reads its own cursor
+      ObjRef cached = nullptr;
+      for (int pass = 0; pass < 200; ++pass) {
+        in.rewind();
+        SerialStats rs;
+        SerialReader r(class_plans, heap, rs, true);
+        cached = r.read_reusing(in, *plan, cached);
+        reused[t] += rs.objects_reused;
+      }
+      results[t] = cached;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(reused[t], 199u * 50u);
+    EXPECT_TRUE(om::deep_equals(results[t], source));
+    heap.free_graph(results[t]);
+  }
+  heap.free_graph(source);
 }
 
 // ---- pseudocode printer ----------------------------------------------------
