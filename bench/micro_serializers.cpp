@@ -7,12 +7,16 @@
 // per-object dispatch, no type info, no cycle probes; and they compare
 // in-place reuse against fresh allocation on deserialization, for a bulk
 // matrix and for a 100-node list whose reuse bookkeeping walks every node.
+// The frame codec rows time what every transported frame pays on top:
+// encode with its CRC-32C, and checksum-verified decode.
 #include <benchmark/benchmark.h>
 
 #include "objmodel/heap.hpp"
 #include "serial/class_plans.hpp"
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
+#include "support/rng.hpp"
+#include "wire/framing.hpp"
 
 namespace {
 
@@ -279,6 +283,48 @@ void BM_CycleTableProbe(benchmark::State& state) {
   for (om::ObjRef o : objs) f.heap.free(o);
 }
 BENCHMARK(BM_CycleTableProbe);
+
+// Frame codec on the default (copying) transport path: tag, CRC-32C and
+// one message carrying `range(0)` payload bytes (64 B ~ a list100 reply,
+// 2 KiB ~ an array16 call).  The payload is built at run time.
+wire::Frame payload_frame(std::size_t payload_bytes) {
+  wire::Frame frame;
+  frame.link_seq = 12345;
+  wire::Message m;
+  m.header.kind = wire::MsgKind::Call;
+  m.header.callsite_id = 3;
+  m.header.seq = 77;
+  m.header.dest_machine = 1;
+  SplitMix64 rng(payload_bytes);
+  for (std::size_t i = 0; i < payload_bytes; ++i) {
+    m.payload.put_u8(static_cast<std::uint8_t>(rng.next()));
+  }
+  frame.messages.push_back(std::move(m));
+  return frame;
+}
+
+void BM_FrameEncode(benchmark::State& state) {
+  const wire::Frame frame = payload_frame(state.range(0));
+  for (auto _ : state) {
+    ByteBuffer image = wire::encode_frame(frame);
+    benchmark::DoNotOptimize(image.contents().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameEncode)->Arg(64)->Arg(2048);
+
+void BM_FrameDecode(benchmark::State& state) {
+  ByteBuffer image = wire::encode_frame(payload_frame(state.range(0)));
+  for (auto _ : state) {
+    image.rewind();
+    wire::Frame back = wire::decode_frame(image);
+    benchmark::DoNotOptimize(back.messages.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameDecode)->Arg(64)->Arg(2048);
 
 }  // namespace
 

@@ -78,7 +78,7 @@ wire::SendOutcome SimTransport::submit(Machine& sender, Machine& receiver,
     // payload view (or borrowing object) releases it; a dedup-rejected
     // duplicate drops its ref right here when `image` dies.
     support::FramePool::BlockRef block =
-        receiver.frame_pool().acquire(charged + 32);
+        receiver.frame_pool().acquire(charged + wire::kFrameHeaderSlack);
     wire::encode_frame_into(frame, block->bytes);
     const std::uint8_t* data = block->bytes.data();
     const std::size_t size = block->bytes.size();
@@ -234,13 +234,15 @@ wire::SendOutcome FaultyTransport::submit(Machine& sender, Machine& receiver,
         dice.next_below(bytes.size() * 8));
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     ByteBuffer damaged(std::move(bytes));
+    bool rejected = false;
     try {
       (void)wire::decode_frame(damaged);
-      // A flip the checksum failed to catch would be a decoder bug; the
-      // 32-bit FNV residual makes this unreachable in practice.
     } catch (const DecodeError&) {
-      // expected: rejected, never decoded into the runtime
+      rejected = true;  // never decoded into the runtime
     }
+    // CRC-32C detects every single-bit error, so a damaged image that
+    // decodes is a bug in the frame codec, not bad luck.
+    RMIOPT_CHECK(rejected, "frame codec accepted a single-bit-flipped image");
     return wire::SendOutcome::Nacked;
   }
 

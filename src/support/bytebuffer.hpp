@@ -85,6 +85,16 @@ class ByteBuffer {
     std::memcpy(bytes_.data() + old, data, len);
   }
 
+  // Overwrites four bytes written earlier (a put_u32 placeholder) at
+  // `pos`: for a value such as a checksum that is known only after the
+  // bytes following it.
+  void patch_u32(std::size_t pos, std::uint32_t v) {
+    RMIOPT_CHECK(!is_view(), "write into ByteBuffer view");
+    RMIOPT_CHECK(pos <= bytes_.size() && bytes_.size() - pos >= sizeof v,
+                 "ByteBuffer patch out of range");
+    std::memcpy(bytes_.data() + pos, &v, sizeof v);
+  }
+
   void put_string(std::string_view s) {
     put_varint(s.size());
     put_bytes(s.data(), s.size());

@@ -1,16 +1,15 @@
 #include "wire/framing.hpp"
 
+#include "support/crc32c.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace rmiopt::wire {
 
-namespace {
-
-std::uint32_t image_checksum(const std::uint8_t* data, std::size_t len) {
-  const std::uint64_t h = fnv1a(data, len);
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
+std::uint32_t frame_checksum(std::span<const std::uint8_t> body) {
+  return crc32c(body.data(), body.size());
 }
+
+namespace {
 
 // A deadline is present on the wire only when set, signalled by a flag
 // bit that never reaches MessageHeader::flags (it is an encoding detail).
@@ -88,9 +87,8 @@ Frame decode_frame_body(ByteBuffer& buf) {
   // Verify the checksum over the whole remainder before trusting a single
   // length or kind field of it.
   const std::uint32_t declared = buf.get_u32();
-  const auto bytes = buf.contents();
   const std::uint32_t actual =
-      image_checksum(bytes.data() + buf.read_pos(), buf.remaining());
+      frame_checksum(buf.contents().subspan(buf.read_pos()));
   if (declared != actual) {
     throw DecodeError("frame checksum mismatch: image corrupted in transit");
   }
@@ -121,18 +119,22 @@ namespace {
 
 void encode_frame_impl(const Frame& frame, ByteBuffer& out) {
   RMIOPT_CHECK(!frame.messages.empty(), "cannot encode an empty frame");
-  ByteBuffer body;
-  body.put_varint(frame.link_seq);
-  if (frame.messages.size() == 1) {
-    encode_message(body, frame.messages.front());
+  // One pass: the body is encoded straight after a checksum placeholder,
+  // then checksummed in place and the placeholder patched.
+  out.reserve(out.size() + frame.charged_bytes() + kFrameHeaderSlack);
+  const bool single = frame.messages.size() == 1;
+  out.put_u8(single ? kSingleFrameTag : kBatchFrameTag);
+  const std::size_t checksum_pos = out.size();
+  out.put_u32(0);
+  const std::size_t body_pos = out.size();
+  out.put_varint(frame.link_seq);
+  if (single) {
+    encode_message(out, frame.messages.front());
   } else {
-    body.put_varint(frame.messages.size());
-    for (const Message& m : frame.messages) encode_message(body, m);
+    out.put_varint(frame.messages.size());
+    for (const Message& m : frame.messages) encode_message(out, m);
   }
-  out.put_u8(frame.messages.size() == 1 ? kSingleFrameTag : kBatchFrameTag);
-  const auto body_bytes = body.contents();
-  out.put_u32(image_checksum(body_bytes.data(), body_bytes.size()));
-  out.put_bytes(body_bytes.data(), body_bytes.size());
+  out.patch_u32(checksum_pos, frame_checksum(out.contents().subspan(body_pos)));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // padding and a decoder can detect truncation:
 //
 //   frame   := tag u8            (kSingleFrameTag | kBatchFrameTag)
-//              checksum u32      (FNV-1a over every following byte)
+//              checksum u32      (CRC-32C over every following byte)
 //              link_seq varint   (per directed src->dst link, from 0)
 //              count    varint   (batch frames only)
 //              count x message
@@ -20,7 +20,8 @@
 // The checksum makes corruption *detectable*: a receiver verifies it
 // before trusting any length or kind field, rejects the frame with a
 // DecodeError, and NACKs so the sender retransmits — a corrupted frame is
-// never decoded into the runtime.  decode_frame throws only typed errors
+// never decoded into the runtime.  CRC-32C catches every single-bit flip
+// and every burst of up to 32 bits.  decode_frame throws only typed errors
 // (rmiopt::DecodeError) on any malformed input; it never aborts.
 //
 // Note the *charged* size of a message on the simulated wire stays
@@ -29,6 +30,7 @@
 // detail and may be a few bytes smaller or larger.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "support/bytebuffer.hpp"
@@ -55,6 +57,18 @@ struct Frame {
     return n;
   }
 };
+
+// Bytes an encoded frame may need beyond Frame::charged_bytes(): the tag,
+// the checksum and the link_seq/count varints, plus what a message's
+// varints can take beyond its charged header.  Always enough for a
+// single-message frame (a batch of many messages with large payloads or
+// deadlines can exceed it by a few bytes each).  Encoders reserve this
+// much so the image is written without growing its buffer.
+inline constexpr std::size_t kFrameHeaderSlack = 32;
+
+// The frame checksum: CRC-32C of the body (every byte after the checksum
+// field).  Exported so tests can seal hand-built images.
+std::uint32_t frame_checksum(std::span<const std::uint8_t> body);
 
 // Serializes `frame` into its physical byte image.  The frame must carry
 // at least one message.

@@ -15,7 +15,6 @@
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "wire/framing.hpp"
 
@@ -169,6 +168,16 @@ TEST(VarintFuzz, CanonicalRoundTrip) {
   }
 }
 
+// Re-seals `body` behind `tag` with a valid frame checksum.
+std::vector<std::uint8_t> sealed_image(std::uint8_t tag,
+                                       const std::vector<std::uint8_t>& body) {
+  ByteBuffer out;
+  out.put_u8(tag);
+  out.put_u32(frame_checksum(body));
+  out.put_bytes(body.data(), body.size());
+  return std::move(out).take();
+}
+
 TEST(VarintFuzz, OverlongLinkSeqInValidFrameIsRejected) {
   // Frame-level: a checksum-*valid* image whose link_seq varint is the
   // overlong 0x80 0x00 instead of 0x00.  The checksum passes (we recompute
@@ -183,16 +192,15 @@ TEST(VarintFuzz, OverlongLinkSeqInValidFrameIsRejected) {
   std::vector<std::uint8_t> bytes = image_of(frame);
   // Layout: [tag u8][checksum u32][body...]; body starts with link_seq.
   ASSERT_EQ(bytes[5], 0x00);
-  std::vector<std::uint8_t> body(bytes.begin() + 5, bytes.end());
+  const std::vector<std::uint8_t> canonical(bytes.begin() + 5, bytes.end());
+  // Control: the canonical body, re-sealed the same way, decodes — so the
+  // forged image below fails on its varint, not on its checksum.
+  EXPECT_EQ(try_decode(sealed_image(bytes[0], canonical)), Outcome::Decoded);
+
+  std::vector<std::uint8_t> body = canonical;
   body[0] = 0x80;
   body.insert(body.begin() + 1, 0x00);
-  const std::uint64_t h = fnv1a(body.data(), body.size());
-  const auto checksum = static_cast<std::uint32_t>(h ^ (h >> 32));
-  ByteBuffer out;
-  out.put_u8(bytes[0]);
-  out.put_u32(checksum);
-  out.put_bytes(body.data(), body.size());
-  EXPECT_EQ(try_decode(std::move(out).take()), Outcome::Rejected);
+  EXPECT_EQ(try_decode(sealed_image(bytes[0], body)), Outcome::Rejected);
 }
 
 // ---- borrowed decode passes that fail midway --------------------------------

@@ -3,6 +3,8 @@
 // layer's sequencing and ACK-coalescing queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -147,32 +149,81 @@ TEST(Framing, EveryTruncationOfAValidImageIsRejected) {
   }
 }
 
+// Seals a hand-built frame body behind `tag` and a valid checksum, so the
+// decoder gets past the checksum and must apply the rule under test.
+ByteBuffer sealed(std::uint8_t tag, const ByteBuffer& body) {
+  ByteBuffer image;
+  image.put_u8(tag);
+  image.put_u32(frame_checksum(body.contents()));
+  image.put_bytes(body.contents().data(), body.size());
+  return image;
+}
+
+// Decodes `image`, expecting a DecodeError whose message names `rule`.
+void expect_rejected_by(ByteBuffer image, const std::string& rule) {
+  try {
+    (void)decode_frame(image);
+    ADD_FAILURE() << "decoded; expected rejection by: " << rule;
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+        << "rejected for the wrong reason: " << e.what();
+  }
+}
+
+TEST(Framing, FrameChecksumIsCrc32cOfTheBody) {
+  Frame frame;
+  frame.link_seq = 9;
+  frame.messages.push_back(make_msg(MsgKind::Call, 0, 1, 40));
+  const ByteBuffer image = encode_frame(frame);
+  const auto bytes = image.contents();
+  ByteBuffer head(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 5));
+  (void)head.get_u8();
+  EXPECT_EQ(head.get_u32(), frame_checksum(bytes.subspan(5)));
+
+  const std::string check = "123456789";
+  EXPECT_EQ(frame_checksum({reinterpret_cast<const std::uint8_t*>(check.data()),
+                            check.size()}),
+            0xE3069283u);
+}
+
 TEST(Framing, UnknownTagAndKindAreRejected) {
   ByteBuffer bogus_tag;
   bogus_tag.put_u8(0x00);
   bogus_tag.put_varint(0);
-  EXPECT_THROW((void)decode_frame(bogus_tag), Error);
+  expect_rejected_by(std::move(bogus_tag), "unknown frame tag");
 
-  // A single frame whose message kind byte is out of range.
-  ByteBuffer bogus_kind;
-  bogus_kind.put_u8(kSingleFrameTag);
-  bogus_kind.put_varint(0);  // link_seq
-  bogus_kind.put_u8(0x7F);   // kind — no such MsgKind
-  bogus_kind.put_u32(0);
-  bogus_kind.put_u32(0);
-  bogus_kind.put_u32(0);
-  bogus_kind.put(std::uint16_t{0});
-  bogus_kind.put(std::uint16_t{1});
-  bogus_kind.put_varint(0);
-  EXPECT_THROW((void)decode_frame(bogus_kind), Error);
+  // A checksum-valid single frame whose message kind byte is out of range.
+  ByteBuffer body;
+  body.put_varint(0);  // link_seq
+  body.put_u8(0x7F);   // kind — no such MsgKind
+  body.put_u32(0);
+  body.put_u32(0);
+  body.put_u32(0);
+  body.put(std::uint16_t{0});
+  body.put(std::uint16_t{1});
+  body.put_u8(0);      // flags
+  body.put_varint(0);  // payload_len
+  expect_rejected_by(sealed(kSingleFrameTag, body), "unknown message kind");
 }
 
 TEST(Framing, AbsurdBatchCountIsRejectedBeforeAllocation) {
-  ByteBuffer bogus;
-  bogus.put_u8(kBatchFrameTag);
-  bogus.put_varint(0);                     // link_seq
-  bogus.put_varint(1'000'000'000'000ull);  // count far beyond the image
-  EXPECT_THROW((void)decode_frame(bogus), Error);
+  ByteBuffer body;
+  body.put_varint(0);                     // link_seq
+  body.put_varint(1'000'000'000'000ull);  // count far beyond the image
+  expect_rejected_by(sealed(kBatchFrameTag, body), "batch count exceeds image");
+}
+
+TEST(Framing, EncodeIntoReusesTheBufferCapacity) {
+  Frame frame;
+  frame.messages.push_back(make_msg(MsgKind::Call, 0, 1, 2048));
+  std::vector<std::uint8_t> out;
+  out.reserve(frame.charged_bytes() + kFrameHeaderSlack);
+  const std::uint8_t* storage = out.data();
+  encode_frame_into(frame, out);
+  EXPECT_EQ(out.data(), storage);
+  const ByteBuffer image = encode_frame(frame);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), image.contents().begin(),
+                         image.contents().end()));
 }
 
 TEST(Framing, EmptyFrameCannotBeEncoded) {
