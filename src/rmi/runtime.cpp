@@ -30,6 +30,30 @@ class AmbientDeadlineScope {
   std::int64_t saved_;
 };
 
+// Deep-clones one graph for a same-machine call (RMI copy semantics hold
+// regardless of placement, §1) and adds the copy to `pass`.
+om::ObjRef clone_graph(om::Heap& heap, om::ObjRef root,
+                       serial::SerialStats& pass) {
+  if (root == nullptr) return nullptr;
+  om::ObjRef copy = om::deep_clone(heap, root);
+  const om::GraphExtent ext = om::graph_extent(copy);
+  pass.objects_allocated += ext.objects;
+  pass.bytes_allocated += ext.bytes;
+  pass.bytes_copied += ext.bytes;
+  return copy;
+}
+
+// A reply-direction message (callee -> caller) of `kind` for `token`.
+wire::Message reply_message(const ReplyToken& token, wire::MsgKind kind) {
+  wire::Message m;
+  m.header.kind = kind;
+  m.header.callsite_id = token.callsite_id;
+  m.header.seq = token.seq;
+  m.header.source_machine = token.callee_machine;
+  m.header.dest_machine = token.caller_machine;
+  return m;
+}
+
 }  // namespace
 
 // Shared state of one invoke_async: the send half fills it on the
@@ -186,10 +210,17 @@ void RmiSystem::stop() {
   started_ = false;
 }
 
-void RmiSystem::charge(std::uint16_t machine_id,
-                       const serial::SerialStats& pass) {
+void RmiSystem::account(std::uint16_t machine_id, std::uint32_t callsite_id,
+                        const serial::SerialStats& pass, int local_rpcs,
+                        int remote_rpcs) {
   cluster_.machine(machine_id).clock().advance(
       pass.cpu_cost(cluster_.cost()));
+  contexts_.at(machine_id)->stats.add_pass(pass);
+  std::scoped_lock lock(site_stats_mu_);
+  RmiStatsSnapshot& s = site_stats_[callsite_id];
+  s.serial += pass;
+  s.local_rpcs += static_cast<std::uint64_t>(local_rpcs);
+  s.remote_rpcs += static_cast<std::uint64_t>(remote_rpcs);
 }
 
 // ---- tracing ----------------------------------------------------------------
@@ -305,27 +336,44 @@ void RmiSystem::send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
   }
 }
 
-void RmiSystem::reject_remote_call(MachineContext& ctx,
-                                   const ReplyToken& token,
-                                   wire::RejectCode code,
-                                   const std::string& reason) {
-  wire::Message rej;
-  rej.header.kind = wire::MsgKind::Reject;
-  rej.header.callsite_id = token.callsite_id;
-  rej.header.seq = token.seq;
-  rej.header.source_machine = token.callee_machine;
-  rej.header.dest_machine = token.caller_machine;
+void RmiSystem::deliver_reply(MachineContext& callee_ctx,
+                              const ReplyToken& token, wire::Message reply,
+                              om::ObjRef local_value) {
+  if (token.caller_machine == token.callee_machine) {
+    if (token.oneway) return;  // fire-and-forget: nobody is waiting
+    PendingReply rep;
+    rep.local_value = local_value;
+    rep.msg = std::move(reply);
+    // The runtime produced this reply itself, so a missing pending entry
+    // is a programmer error, not network noise.
+    RMIOPT_CHECK(try_fulfill_pending(callee_ctx, token.seq, std::move(rep)),
+                 "reply without matching call");
+    return;
+  }
+  // At-most-once: keep the reply so a duplicate of this call is answered
+  // by replay instead of re-executing the handler.  For a oneway call the
+  // entry only marks completion: its duplicates are suppressed silently.
+  cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
+  if (token.oneway) return;
+  try {
+    cluster_.send(std::move(reply));
+  } catch (const ProtocolError&) {
+    // The caller's machine is unreachable; the call has already executed,
+    // so all we can do is count the lost reply.  A surviving caller will
+    // surface its own RmiTimeout.
+    callee_ctx.stats.count_undeliverable_reply();
+  }
+}
+
+void RmiSystem::reject_call(MachineContext& ctx, const ReplyToken& token,
+                            wire::RejectCode code, const std::string& reason) {
+  wire::Message rej = reply_message(token, wire::MsgKind::Reject);
   rej.payload.put_u8(static_cast<std::uint8_t>(code));
   rej.payload.put_string(reason);
-  // Tombstone: a duplicate of this call replays the typed refusal instead
-  // of re-executing (at-most-once holds across cancellation).
-  cache_reply(ctx, call_key(token.caller_machine, token.seq), rej);
-  if (token.oneway) return;  // fire-and-forget: nobody is waiting
-  try {
-    cluster_.send(std::move(rej));
-  } catch (const ProtocolError&) {
-    ctx.stats.count_undeliverable_reply();
-  }
+  // A remote reject is cached as the call's tombstone: a duplicate replays
+  // the typed refusal instead of re-executing (at-most-once holds across
+  // cancellation).
+  deliver_reply(ctx, token, std::move(rej));
 }
 
 std::promise<RmiSystem::PendingReply>& RmiSystem::register_pending(
@@ -334,6 +382,11 @@ std::promise<RmiSystem::PendingReply>& RmiSystem::register_pending(
   PendingSlot& slot = ctx.pending[seq];
   slot.dest = dest;
   return slot.promise;
+}
+
+void RmiSystem::drop_pending(MachineContext& ctx, std::uint32_t seq) {
+  std::scoped_lock lock(ctx.pending_mu);
+  ctx.pending.erase(seq);
 }
 
 RmiSystem::PendingReply RmiSystem::await_pending(
@@ -364,10 +417,7 @@ RmiSystem::PendingReply RmiSystem::await_pending(
       if (fd->dead(dest) &&
           fut.wait_for(std::chrono::seconds(0)) !=
               std::future_status::ready) {
-        {
-          std::scoped_lock lock(ctx.pending_mu);
-          ctx.pending.erase(seq);
-        }
+        drop_pending(ctx, seq);
         ctx.stats.count_call_timeout();
         ctx.stats.count_machine_down();
         throw MachineDown(
@@ -384,10 +434,7 @@ RmiSystem::PendingReply RmiSystem::await_pending(
     }
   }
   if (timed_out) {
-    {
-      std::scoped_lock lock(ctx.pending_mu);
-      ctx.pending.erase(seq);
-    }
+    drop_pending(ctx, seq);
     ctx.stats.count_call_timeout();
     // The callee may still be computing: tell it to stop (best-effort) so
     // the reply nobody will read is abandoned at the next poll boundary.
@@ -397,10 +444,7 @@ RmiSystem::PendingReply RmiSystem::await_pending(
                      std::to_string(budget_ms) + " ms");
   }
   PendingReply rep = fut.get();
-  {
-    std::scoped_lock lock(ctx.pending_mu);
-    ctx.pending.erase(seq);
-  }
+  drop_pending(ctx, seq);
   if (rep.machine_down) {
     ctx.stats.count_call_timeout();
     ctx.stats.count_machine_down();
@@ -409,13 +453,13 @@ RmiSystem::PendingReply RmiSystem::await_pending(
                                 std::to_string(dest) +
                                 ": machine declared dead");
   }
-  if (rep.is_exception) throw RemoteException(rep.error);
-  if (!rep.is_local && rep.msg.header.kind == wire::MsgKind::Exception) {
+  if (rep.msg.header.kind == wire::MsgKind::Exception) {
     throw RemoteException(rep.msg.payload.get_string());
   }
-  if (!rep.is_local && rep.msg.header.kind == wire::MsgKind::Reject) {
+  if (rep.msg.header.kind == wire::MsgKind::Reject) {
     // The callee refused (or abandoned) the call without running its
-    // handler to completion: map the code back to the typed exception.
+    // handler to completion, or the handler's nested call failed fast —
+    // at either placement: map the code back to the typed exception.
     const auto code = static_cast<wire::RejectCode>(rep.msg.payload.get_u8());
     const std::string reason = rep.msg.payload.get_string();
     const std::string what = "call seq " + std::to_string(seq) + " via " +
@@ -474,14 +518,6 @@ void RmiSystem::fail_pending_to(std::uint16_t machine) {
       p.set_value(std::move(rep));
     }
   }
-}
-
-void RmiSystem::fulfill_pending(MachineContext& ctx, std::uint32_t seq,
-                                PendingReply reply) {
-  // Local-path replies are produced by the runtime itself, so a missing
-  // entry here is a programmer error, not network noise.
-  RMIOPT_CHECK(try_fulfill_pending(ctx, seq, std::move(reply)),
-               "reply without matching call");
 }
 
 // ---- at-most-once -----------------------------------------------------------
@@ -553,15 +589,17 @@ RmiSystem::ReuseSlot& RmiSystem::reuse_slot(MachineContext& ctx,
   return *slot;
 }
 
-void RmiSystem::free_arg_graphs(om::Heap& heap,
-                                std::span<const om::ObjRef> args,
-                                serial::SerialStats& pass) {
+void RmiSystem::free_args(std::uint16_t machine_id, std::uint32_t callsite_id,
+                          std::span<const om::ObjRef> args) {
   // Arguments may share substructure (Figure 8 passes the same object
   // twice), so free the *union* of the graphs exactly once.
+  om::Heap& heap = cluster_.machine(machine_id).heap();
   support::Scratch<om::ObjSet> all;
   for (om::ObjRef a : args) om::collect_graph(a, *all);
   all->for_each([&](om::ObjRef o) { heap.free(o); });
+  serial::SerialStats pass;
   pass.objects_freed += all->size();
+  account(machine_id, callsite_id, pass);
 }
 
 // ---- invocation -------------------------------------------------------------
@@ -581,6 +619,22 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
                                   std::span<const om::ObjRef> args,
                                   std::span<const std::int64_t> scalars,
                                   const CallOptions& opts) {
+  return start_call(caller, target, callsite_id, args, scalars, opts, false);
+}
+
+void RmiSystem::invoke_oneway(std::uint16_t caller, RemoteRef target,
+                              std::uint32_t callsite_id,
+                              std::span<const om::ObjRef> args,
+                              std::span<const std::int64_t> scalars,
+                              const CallOptions& opts) {
+  start_call(caller, target, callsite_id, args, scalars, opts, true);
+}
+
+RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
+                                std::uint32_t callsite_id,
+                                std::span<const om::ObjRef> args,
+                                std::span<const std::int64_t> scalars,
+                                const CallOptions& opts, bool oneway) {
   const CompiledCallSite& site = callsite(callsite_id);
   const serial::CallSitePlan& plan = *site.plan;
   RMIOPT_CHECK(args.size() == plan.args.size(),
@@ -588,52 +642,36 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
   const std::uint32_t seq = next_seq_.fetch_add(1);
   MachineContext& cctx = *contexts_.at(caller);
   net::Machine& m = cluster_.machine(caller);
+  const bool local = target.machine == caller;
+  const auto what = [&](const std::string& verdict) {
+    return std::string(oneway ? "oneway call via " : "call via ") +
+           site_desc(callsite_id) + " to machine " +
+           std::to_string(target.machine) + verdict;
+  };
 
+  // Fail fast at the first hop that cannot finish in time: do not
+  // serialize, do not send.
   const std::int64_t deadline =
       compute_deadline(m.clock().now().as_nanos(), opts);
-  if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-    // Fail fast at the first hop that cannot finish in time: do not
-    // serialize, do not send.
+  const auto check_deadline = [&](const char* verdict) {
+    if (deadline == 0 || m.clock().now().as_nanos() < deadline) return;
     cctx.stats.count_deadline_reject();
-    trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                  seq);
-    throw DeadlineExceeded("call via " + site_desc(callsite_id) +
-                           " to machine " + std::to_string(target.machine) +
-                           ": budget exhausted before the send");
-  }
-
-  auto st = std::make_shared<AsyncCallState>();
-  st->sys = this;
-  st->caller = caller;
-  st->target = target;
-  st->callsite_id = callsite_id;
-  st->seq = seq;
-
-  if (target.machine == caller) {
-    // The local path is synchronous by construction (the handler runs
-    // inline on this thread): execute now, hand back a ready future.
-    st->is_local = true;
-    try {
-      st->local_value =
-          invoke_local(caller, target, site, args, scalars, seq, deadline);
-    } catch (...) {
-      st->local_error = std::current_exception();
-    }
-    return RmiFuture(std::move(st));
-  }
+    trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id, seq);
+    throw DeadlineExceeded(what(verdict));
+  };
+  check_deadline(": budget exhausted before the send");
 
   // Admission control, evaluated against the callee's deterministic
   // virtual-time inbox model *before* any work is invested in the call.
   AdmissionController& adm = *contexts_.at(target.machine)->admission;
-  if (adm.enabled()) {
+  if (!local && adm.enabled()) {
     const AdmissionController::Decision d =
         adm.admit(m.clock().now().as_nanos());
     if (d.stall_ns > 0) {
       // Backpressure: the flow-control credit delays this sender's
       // virtual-time send, pacing it to the callee's capacity.
-      trace::Recorder* const rec = recorder();
       const std::int64_t stall_start =
-          rec != nullptr ? m.clock().now().as_nanos() : 0;
+          recorder() != nullptr ? m.clock().now().as_nanos() : 0;
       m.clock().advance(SimTime::nanos(d.stall_ns));
       cctx.stats.count_credit_stall();
       trace_span(trace::EventKind::CreditStall, caller, callsite_id, seq,
@@ -643,29 +681,54 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
       cctx.stats.count_shed();
       trace_instant(trace::EventKind::OverloadShed, caller, callsite_id,
                     seq);
-      throw Overload("call via " + site_desc(callsite_id) + " to machine " +
-                     std::to_string(target.machine) +
-                     " shed: inbox at its bound (" +
-                     std::to_string(exec_cfg_.inbox_bound) +
-                     "); retry with backoff");
+      throw Overload(what(" shed: inbox at its bound (" +
+                          std::to_string(exec_cfg_.inbox_bound) +
+                          "); retry with backoff"));
     }
     // The stall consumed part of the budget; re-check before sending.
-    if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-      cctx.stats.count_deadline_reject();
-      trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                    seq);
-      throw DeadlineExceeded(
-          "call via " + site_desc(callsite_id) + " to machine " +
-          std::to_string(target.machine) +
-          ": budget exhausted by flow-control backpressure");
-    }
+    check_deadline(": budget exhausted by flow-control backpressure");
   }
 
+  if (oneway) {
+    cctx.stats.count_oneway_call();
+    trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
+  }
+  if (local) {
+    // The local path is synchronous by construction (the handler runs
+    // inline on this thread): a call that wants a reply gets a ready
+    // future.
+    cctx.stats.count_local_rpc();
+    if (oneway) {
+      run_local(caller, target, site, args, scalars, seq, deadline, true);
+      return RmiFuture();
+    }
+    auto st = std::make_shared<AsyncCallState>();
+    st->is_local = true;
+    try {
+      st->local_value =
+          run_local(caller, target, site, args, scalars, seq, deadline, false);
+    } catch (...) {
+      st->local_error = std::current_exception();
+    }
+    return RmiFuture(std::move(st));
+  }
   cctx.stats.count_remote_rpc();
-  // Caller-perceived Call span: from here to the reply's deserialization.
-  trace::Recorder* const rec = recorder();
-  st->call_start_ns = rec != nullptr ? m.clock().now().as_nanos() : 0;
-  st->fut = register_pending(cctx, seq, target.machine).get_future();
+
+  // Only a call that wants a reply keeps pending state: a oneway call
+  // allocates neither a slot nor a future.
+  std::shared_ptr<AsyncCallState> st;
+  if (!oneway) {
+    st = std::make_shared<AsyncCallState>();
+    st->sys = this;
+    st->caller = caller;
+    st->target = target;
+    st->callsite_id = callsite_id;
+    st->seq = seq;
+    // Caller-perceived Call span: from here to the reply's deserialization.
+    st->call_start_ns =
+        recorder() != nullptr ? m.clock().now().as_nanos() : 0;
+    st->fut = register_pending(cctx, seq, target.machine).get_future();
+  }
 
   wire::Message msg;
   msg.header.kind = wire::MsgKind::Call;
@@ -674,6 +737,7 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
   msg.header.seq = seq;
   msg.header.source_machine = caller;
   msg.header.dest_machine = target.machine;
+  msg.header.flags = oneway ? wire::kFlagOneway : std::uint8_t{0};
   msg.header.deadline_ns = deadline;
 
   // Scatter-gather send (CostModel::zero_copy_send): serialize into a
@@ -714,10 +778,8 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
   // graphs again: from here on the payload image is frozen, so ARQ
   // retransmits and fault-plan copies stay byte-identical.
   msg.seal_gathered();
-  st->request_bytes = msg.payload_size();
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(callsite_id, pass, 0, 1);
+  if (st) st->request_bytes = msg.payload_size();
+  account(caller, callsite_id, pass, 0, 1);
 
   try {
     cluster_.send(std::move(msg));
@@ -725,30 +787,20 @@ RmiFuture RmiSystem::invoke_async(std::uint16_t caller, RemoteRef target,
     // The failure detector already confirmed the endpoint dead: fail the
     // call immediately with the typed form instead of waiting out the ARQ
     // retransmit budget.
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
+    if (st) drop_pending(cctx, seq);
     cctx.stats.count_call_timeout();
     cctx.stats.count_machine_down();
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     throw MachineDown(e.machine(),
-                      "call via " + site_desc(callsite_id) + " to machine " +
-                          std::to_string(target.machine) +
-                          " failed fast: " + e.what());
+                      what(std::string(" failed fast: ") + e.what()));
   } catch (const ProtocolError& e) {
     // The link's ARQ gave up: the callee is crashed or unreachable.  The
     // failure is synchronous (virtual-time timers, not wall-clock), so it
     // converts directly into the typed caller-visible form.
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
+    if (st) drop_pending(cctx, seq);
     cctx.stats.count_call_timeout();
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw RmiTimeout("call via " + site_desc(callsite_id) + " to machine " +
-                     std::to_string(target.machine) +
-                     " undeliverable: " + e.what());
+    throw RmiTimeout(what(std::string(" undeliverable: ") + e.what()));
   }
   return RmiFuture(std::move(st));
 }
@@ -771,10 +823,7 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
   if (exec_cfg_.dispatch_workers == 1 &&
       std::this_thread::get_id() == cctx.dispatcher.get_id() &&
       st.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    {
-      std::scoped_lock lock(cctx.pending_mu);
-      cctx.pending.erase(seq);
-    }
+    drop_pending(cctx, seq);
     cctx.stats.count_call_timeout();
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     // Best-effort: tell the callee not to bother computing the reply.
@@ -796,7 +845,6 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     throw;
   }
-  RMIOPT_CHECK(!rep.is_local, "local reply on remote path");
   if (rep.msg.header.kind == wire::MsgKind::Ack) {
     trace_span(trace::EventKind::Call, caller, callsite_id, seq,
                st.call_start_ns, st.request_bytes);
@@ -833,205 +881,25 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
   } else {
     value = r.read(rep.msg.payload, *plan.ret);
   }
-  charge(caller, rpass);
-  cctx.stats.add_pass(rpass);
-  add_site_pass(callsite_id, rpass);
+  account(caller, callsite_id, rpass);
   trace_span(trace::EventKind::Call, caller, callsite_id, seq,
              st.call_start_ns, st.request_bytes + reply_bytes);
   return value;
 }
 
-void RmiSystem::invoke_oneway(std::uint16_t caller, RemoteRef target,
-                              std::uint32_t callsite_id,
-                              std::span<const om::ObjRef> args,
-                              std::span<const std::int64_t> scalars,
-                              const CallOptions& opts) {
-  const CompiledCallSite& site = callsite(callsite_id);
-  const serial::CallSitePlan& plan = *site.plan;
-  RMIOPT_CHECK(args.size() == plan.args.size(),
-               "argument count does not match call-site plan");
-  const std::uint32_t seq = next_seq_.fetch_add(1);
+om::ObjRef RmiSystem::run_local(std::uint16_t caller, RemoteRef target,
+                                const CompiledCallSite& site,
+                                std::span<const om::ObjRef> args,
+                                std::span<const std::int64_t> scalars,
+                                std::uint32_t seq, std::int64_t deadline_ns,
+                                bool oneway) {
   MachineContext& cctx = *contexts_.at(caller);
   net::Machine& m = cluster_.machine(caller);
-
-  const std::int64_t deadline =
-      compute_deadline(m.clock().now().as_nanos(), opts);
-  if (deadline != 0 && m.clock().now().as_nanos() >= deadline) {
-    cctx.stats.count_deadline_reject();
-    trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id,
-                  seq);
-    throw DeadlineExceeded("oneway call via " + site_desc(callsite_id) +
-                           " to machine " + std::to_string(target.machine) +
-                           ": budget exhausted before the send");
-  }
-
-  if (target.machine == caller) {
-    // Local fire-and-forget: clone (copy semantics, §1), run inline,
-    // discard the outcome.  The oneway token suppresses every reply path,
-    // including a handler's deferred send_reply.
-    cctx.stats.count_local_rpc();
-    cctx.stats.count_oneway_call();
-    trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
-    charge_stub(caller, site, args.size(), scalars.size());
-
-    serial::SerialStats pass;
-    std::vector<om::ObjRef> cloned;
-    cloned.reserve(args.size());
-    for (om::ObjRef a : args) {
-      om::ObjRef c = a ? om::deep_clone(m.heap(), a) : nullptr;
-      const om::GraphExtent ext = om::graph_extent(c);
-      pass.objects_allocated += ext.objects;
-      pass.bytes_allocated += ext.bytes;
-      pass.bytes_copied += ext.bytes;
-      cloned.push_back(c);
-    }
-    charge(caller, pass);
-    cctx.stats.add_pass(pass);
-    add_site_pass(callsite_id, pass, 1, 0);
-
-    om::ObjRef self = nullptr;
-    {
-      std::scoped_lock lock(cctx.exports_mu);
-      RMIOPT_CHECK(target.export_id < cctx.exports.size(),
-                   "unknown export id");
-      self = cctx.exports[target.export_id];
-    }
-    ReplyToken token{callsite_id, seq, caller, caller};
-    token.oneway = true;
-    CallContext cc(*this, m, self, token, deadline);
-    m.clock().advance(SimTime::nanos(cluster_.cost().upcall_dispatch_ns));
-    HandlerResult res;
-    try {
-      AmbientDeadlineScope scope(deadline);
-      res = methods_[site.method_id].second(cc, scalars, cloned);
-    } catch (const Error& e) {
-      res = HandlerResult::exception(e.what());
-    }
-    if (!res.deferred) {
-      if (res.is_exception) {
-        send_exception(token, res.error);  // oneway: swallowed
-      } else {
-        send_reply(token, res.value, res.give_ownership);
-      }
-    }
-    if (!res.args_consumed) {
-      serial::SerialStats freep;
-      free_arg_graphs(m.heap(), cloned, freep);
-      charge(caller, freep);
-      cctx.stats.add_pass(freep);
-      add_site_pass(callsite_id, freep);
-    }
-    return;
-  }
-
-  // Remote fire-and-forget: same admission and pricing as invoke_async,
-  // but no pending slot — nothing will ever come back.
-  AdmissionController& adm = *contexts_.at(target.machine)->admission;
-  if (adm.enabled()) {
-    const AdmissionController::Decision d =
-        adm.admit(m.clock().now().as_nanos());
-    if (d.stall_ns > 0) {
-      trace::Recorder* const rec = recorder();
-      const std::int64_t stall_start =
-          rec != nullptr ? m.clock().now().as_nanos() : 0;
-      m.clock().advance(SimTime::nanos(d.stall_ns));
-      cctx.stats.count_credit_stall();
-      trace_span(trace::EventKind::CreditStall, caller, callsite_id, seq,
-                 stall_start);
-    }
-    if (!d.admitted) {
-      cctx.stats.count_shed();
-      trace_instant(trace::EventKind::OverloadShed, caller, callsite_id,
-                    seq);
-      throw Overload("oneway call via " + site_desc(callsite_id) +
-                     " to machine " + std::to_string(target.machine) +
-                     " shed: inbox at its bound (" +
-                     std::to_string(exec_cfg_.inbox_bound) +
-                     "); retry with backoff");
-    }
-  }
-
-  cctx.stats.count_remote_rpc();
-  cctx.stats.count_oneway_call();
-  trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
-
-  wire::Message msg;
-  msg.header.kind = wire::MsgKind::Call;
-  msg.header.callsite_id = callsite_id;
-  msg.header.target_export = target.export_id;
-  msg.header.seq = seq;
-  msg.header.source_machine = caller;
-  msg.header.dest_machine = target.machine;
-  msg.header.flags = wire::kFlagOneway;
-  msg.header.deadline_ns = deadline;
-
-  // Same gathered-send gate as invoke_async: oneway bodies borrow inline
-  // primitive-array rows when the knob is on.
-  const serial::CostModel& cmodel = cluster_.cost();
-  if (cmodel.zero_copy_send && !site.heavy) {
-    msg.gathered = std::make_shared<support::GatherBuffer>(
-        cmodel.gather_min_borrow_bytes, cmodel.gather_pin_copy_threshold);
-    msg.gathered->put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.gathered->put_i64(s);
-  } else {
-    msg.payload.put_varint(scalars.size());
-    for (const std::int64_t s : scalars) msg.payload.put_i64(s);
-  }
-  charge_stub(caller, site, args.size(), scalars.size());
-
-  const bool cycle_enabled = site.heavy || plan.needs_cycle_table;
-  serial::SerialStats pass;
-  {
-    serial::SerialWriter w(
-        class_plans_, pass, cycle_enabled,
-        pass_trace(trace::EventKind::Serialize, caller, callsite_id, seq));
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (site.heavy) {
-        w.write_introspective(msg.payload, args[i]);
-      } else if (msg.gathered) {
-        w.write(*msg.gathered, *plan.args[i], args[i]);
-      } else {
-        w.write(msg.payload, *plan.args[i], args[i]);
-      }
-    }
-  }
-  msg.seal_gathered();
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(callsite_id, pass, 0, 1);
-
-  try {
-    cluster_.send(std::move(msg));
-  } catch (const MachineDeadError& e) {
-    cctx.stats.count_call_timeout();
-    cctx.stats.count_machine_down();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw MachineDown(e.machine(),
-                      "oneway call via " + site_desc(callsite_id) +
-                          " to machine " + std::to_string(target.machine) +
-                          " failed fast: " + e.what());
-  } catch (const ProtocolError& e) {
-    cctx.stats.count_call_timeout();
-    trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
-    throw RmiTimeout("oneway call via " + site_desc(callsite_id) +
-                     " to machine " + std::to_string(target.machine) +
-                     " undeliverable: " + e.what());
-  }
-}
-
-om::ObjRef RmiSystem::invoke_local(std::uint16_t caller, RemoteRef target,
-                                   const CompiledCallSite& site,
-                                   std::span<const om::ObjRef> args,
-                                   std::span<const std::int64_t> scalars,
-                                   std::uint32_t seq,
-                                   std::int64_t deadline_ns) {
-  MachineContext& cctx = *contexts_.at(caller);
-  net::Machine& m = cluster_.machine(caller);
-  cctx.stats.count_local_rpc();
-  trace::Recorder* const rec = recorder();
+  const std::uint32_t callsite_id = site.plan->id;
   const std::int64_t call_start_ns =
-      rec != nullptr ? m.clock().now().as_nanos() : 0;
-  auto fut = register_pending(cctx, seq, caller).get_future();
+      recorder() != nullptr ? m.clock().now().as_nanos() : 0;
+  std::future<PendingReply> fut;
+  if (!oneway) fut = register_pending(cctx, seq, caller).get_future();
   charge_stub(caller, site, args.size(), scalars.size());
 
   // RMI parameter-passing semantics must hold regardless of placement
@@ -1039,61 +907,81 @@ om::ObjRef RmiSystem::invoke_local(std::uint16_t caller, RemoteRef target,
   serial::SerialStats pass;
   std::vector<om::ObjRef> cloned;
   cloned.reserve(args.size());
-  for (om::ObjRef a : args) {
-    om::ObjRef c = a ? om::deep_clone(m.heap(), a) : nullptr;
-    const om::GraphExtent ext = om::graph_extent(c);
-    pass.objects_allocated += ext.objects;
-    pass.bytes_allocated += ext.bytes;
-    pass.bytes_copied += ext.bytes;
-    cloned.push_back(c);
-  }
-  charge(caller, pass);
-  cctx.stats.add_pass(pass);
-  add_site_pass(site.plan->id, pass, 1, 0);
+  for (om::ObjRef a : args) cloned.push_back(clone_graph(m.heap(), a, pass));
+  account(caller, callsite_id, pass, 1, 0);
 
-  om::ObjRef self = nullptr;
-  {
-    std::scoped_lock lock(cctx.exports_mu);
-    RMIOPT_CHECK(target.export_id < cctx.exports.size(),
-                 "unknown export id");
-    self = cctx.exports[target.export_id];
-  }
-  const ReplyToken token{site.plan->id, seq, caller, caller};
-  CallContext cc(*this, m, self, token, deadline_ns);
+  // A oneway token suppresses every reply path, including a handler's
+  // deferred send_reply.
+  ReplyToken token{callsite_id, seq, caller, caller};
+  token.oneway = oneway;
   m.clock().advance(SimTime::nanos(cluster_.cost().upcall_dispatch_ns));
-  HandlerResult res;
-  try {
-    // Nested invokes from inside this handler inherit the remaining
-    // budget (minus slack) through the ambient deadline.
-    AmbientDeadlineScope scope(deadline_ns);
-    res = methods_[site.method_id].second(cc, scalars, cloned);
-  } catch (const Error& e) {
-    res = HandlerResult::exception(e.what());
-  }
-
+  const HandlerOutcome out = run_handler(m, cctx, site, token, target.export_id,
+                                         deadline_ns, nullptr, scalars, cloned);
   // Reply first: the return value may alias the argument graphs, so the
   // arguments stay live until the reply is out (as a GC would ensure).
-  if (!res.deferred) {
-    if (res.is_exception) {
-      send_exception(token, res.error);
-    } else {
-      send_reply(token, res.value, res.give_ownership);
-    }
-  }
-  if (!res.args_consumed) {
-    serial::SerialStats freep;
-    free_arg_graphs(m.heap(), cloned, freep);
-    charge(caller, freep);
-    cctx.stats.add_pass(freep);
-    add_site_pass(site.plan->id, freep);
-  }
+  if (!out.res.deferred) send_outcome(cctx, token, out);
+  if (!out.res.args_consumed) free_args(caller, callsite_id, cloned);
+  if (oneway) return nullptr;
 
   PendingReply rep =
-      await_pending(cctx, caller, site.plan->id, seq, std::move(fut), caller);
-  RMIOPT_CHECK(rep.is_local, "remote reply on local path");
-  trace_span(trace::EventKind::LocalCall, caller, site.plan->id, seq,
+      await_pending(cctx, caller, callsite_id, seq, std::move(fut), caller);
+  trace_span(trace::EventKind::LocalCall, caller, callsite_id, seq,
              call_start_ns);
   return rep.local_value;
+}
+
+RmiSystem::HandlerOutcome RmiSystem::run_handler(
+    net::Machine& m, MachineContext& ctx, const CompiledCallSite& site,
+    const ReplyToken& token, std::uint32_t target_export,
+    std::int64_t deadline_ns, const CancelToken* cancel,
+    std::span<const std::int64_t> scalars, std::span<const om::ObjRef> args) {
+  HandlerOutcome out;
+  om::ObjRef self = nullptr;
+  {
+    std::scoped_lock lock(ctx.exports_mu);
+    // Externally-derived index: a bad export id becomes a remote
+    // exception at the caller, not an abort.
+    if (target_export >= ctx.exports.size()) {
+      out.res = HandlerResult::exception("unknown export id " +
+                                         std::to_string(target_export));
+      return out;
+    }
+    self = ctx.exports[target_export];
+  }
+  CallContext cc(*this, m, self, token, deadline_ns, cancel);
+  try {
+    // Nested invokes inherit the remaining budget via the ambient
+    // deadline (minus ExecutorConfig::deadline_slack_ns per hop).
+    AmbientDeadlineScope scope(deadline_ns);
+    out.res = methods_[site.method_id].second(cc, scalars, args);
+  } catch (const DeadlineExceeded& e) {
+    out.reject = wire::RejectCode::DeadlineExceeded;
+    out.res = HandlerResult::exception(e.what());
+  } catch (const Overload& e) {
+    out.reject = wire::RejectCode::Overload;
+    out.res = HandlerResult::exception(e.what());
+  } catch (const Error& e) {
+    out.res = HandlerResult::exception(e.what());
+  }
+  return out;
+}
+
+void RmiSystem::send_outcome(MachineContext& ctx, const ReplyToken& token,
+                             const HandlerOutcome& out) {
+  if (out.reject) {
+    if (out.res.give_ownership && out.res.value != nullptr) {
+      serial::SerialStats pass;
+      pass.objects_freed +=
+          cluster_.machine(token.callee_machine).heap().free_graph(
+              out.res.value);
+      account(token.callee_machine, token.callsite_id, pass);
+    }
+    reject_call(ctx, token, *out.reject, out.res.error);
+  } else if (out.res.is_exception) {
+    send_exception(token, out.res.error);
+  } else {
+    send_reply(token, out.res.value, out.res.give_ownership);
+  }
 }
 
 void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
@@ -1101,69 +989,19 @@ void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
   const CompiledCallSite& site = callsite(token.callsite_id);
   const serial::CallSitePlan& plan = *site.plan;
   net::Machine& callee = cluster_.machine(token.callee_machine);
-  MachineContext& callee_ctx = *contexts_.at(token.callee_machine);
-  const bool has_ret = plan.ret != nullptr;
+  // A oneway call has nowhere to send a value: its reply is only the
+  // completion marker, and a per-call return value is just freed.
+  const bool has_ret = plan.ret != nullptr && !token.oneway;
 
-  if (token.oneway) {
-    // Fire-and-forget: nothing goes on the wire and nobody is fulfilled.
-    // Free a per-call return value, and record completion in the
-    // at-most-once cache so a duplicate is suppressed (silently — the
-    // cached marker is never replayed for oneway calls).
-    if (give_ownership && value != nullptr) {
-      serial::SerialStats pass;
-      pass.objects_freed += callee.heap().free_graph(value);
-      charge(token.callee_machine, pass);
-      callee_ctx.stats.add_pass(pass);
-      add_site_pass(token.callsite_id, pass);
-    }
-    if (token.caller_machine != token.callee_machine) {
-      wire::Message done;
-      done.header.kind = wire::MsgKind::Ack;
-      done.header.callsite_id = token.callsite_id;
-      done.header.seq = token.seq;
-      done.header.source_machine = token.callee_machine;
-      done.header.dest_machine = token.caller_machine;
-      cache_reply(callee_ctx, call_key(token.caller_machine, token.seq),
-                  done);
-    }
-    return;
-  }
-
+  wire::Message reply = reply_message(
+      token, has_ret ? wire::MsgKind::Return : wire::MsgKind::Ack);
+  reply.coalesce_hint = site.batch_replies;
+  om::ObjRef local_value = nullptr;
+  serial::SerialStats pass;
   if (token.caller_machine == token.callee_machine) {
     // Local reply: clone the return graph (copy semantics, §1).
-    om::ObjRef result = nullptr;
-    serial::SerialStats pass;
-    if (has_ret && value != nullptr) {
-      result = om::deep_clone(callee.heap(), value);
-      const om::GraphExtent ext = om::graph_extent(result);
-      pass.objects_allocated += ext.objects;
-      pass.bytes_allocated += ext.bytes;
-      pass.bytes_copied += ext.bytes;
-    }
-    if (give_ownership && value != nullptr) {
-      pass.objects_freed += callee.heap().free_graph(value);
-    }
-    charge(token.callee_machine, pass);
-    callee_ctx.stats.add_pass(pass);
-    add_site_pass(token.callsite_id, pass);
-
-    PendingReply rep;
-    rep.is_local = true;
-    rep.local_value = result;
-    fulfill_pending(callee_ctx, token.seq, std::move(rep));
-    return;
-  }
-
-  wire::Message reply;
-  reply.header.kind = has_ret ? wire::MsgKind::Return : wire::MsgKind::Ack;
-  reply.header.callsite_id = token.callsite_id;
-  reply.header.seq = token.seq;
-  reply.header.source_machine = token.callee_machine;
-  reply.header.dest_machine = token.caller_machine;
-  reply.coalesce_hint = site.batch_replies;
-
-  serial::SerialStats pass;
-  if (has_ret) {
+    if (has_ret) local_value = clone_graph(callee.heap(), value, pass);
+  } else if (has_ret) {
     const serial::CostModel& cmodel = cluster_.cost();
     if (cmodel.zero_copy_send && !site.heavy) {
       reply.gathered = std::make_shared<support::GatherBuffer>(
@@ -1190,61 +1028,17 @@ void RmiSystem::send_reply(const ReplyToken& token, om::ObjRef value,
   if (give_ownership && value != nullptr) {
     pass.objects_freed += callee.heap().free_graph(value);
   }
-  charge(token.callee_machine, pass);
-  callee_ctx.stats.add_pass(pass);
-  add_site_pass(token.callsite_id, pass);
-  // At-most-once: keep the serialized reply so a duplicate of this call
-  // can be answered by replay instead of re-executing the handler.
-  cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
-  try {
-    cluster_.send(std::move(reply));
-  } catch (const ProtocolError&) {
-    // The caller's machine is unreachable; the call has already executed,
-    // so all we can do is count the lost reply.  A surviving caller will
-    // surface its own RmiTimeout.
-    callee_ctx.stats.count_undeliverable_reply();
-  }
+  account(token.callee_machine, token.callsite_id, pass);
+  deliver_reply(*contexts_.at(token.callee_machine), token, std::move(reply),
+                local_value);
 }
 
 void RmiSystem::send_exception(const ReplyToken& token, std::string message) {
-  if (token.oneway) {
-    // Fire-and-forget: the exception has nowhere to go.  Record
-    // completion so a duplicate of the call is suppressed, not re-run.
-    if (token.caller_machine != token.callee_machine) {
-      wire::Message done;
-      done.header.kind = wire::MsgKind::Ack;
-      done.header.callsite_id = token.callsite_id;
-      done.header.seq = token.seq;
-      done.header.source_machine = token.callee_machine;
-      done.header.dest_machine = token.caller_machine;
-      cache_reply(*contexts_.at(token.callee_machine),
-                  call_key(token.caller_machine, token.seq), done);
-    }
-    return;
-  }
-  if (token.caller_machine == token.callee_machine) {
-    PendingReply rep;
-    rep.is_local = true;
-    rep.is_exception = true;
-    rep.error = std::move(message);
-    fulfill_pending(*contexts_.at(token.callee_machine), token.seq,
-                    std::move(rep));
-    return;
-  }
-  wire::Message reply;
-  reply.header.kind = wire::MsgKind::Exception;
-  reply.header.callsite_id = token.callsite_id;
-  reply.header.seq = token.seq;
-  reply.header.source_machine = token.callee_machine;
-  reply.header.dest_machine = token.caller_machine;
+  // A oneway call's exception has nowhere to go: deliver_reply only
+  // records the call's completion.
+  wire::Message reply = reply_message(token, wire::MsgKind::Exception);
   reply.payload.put_string(message);
-  MachineContext& callee_ctx = *contexts_.at(token.callee_machine);
-  cache_reply(callee_ctx, call_key(token.caller_machine, token.seq), reply);
-  try {
-    cluster_.send(std::move(reply));
-  } catch (const ProtocolError&) {
-    callee_ctx.stats.count_undeliverable_reply();
-  }
+  deliver_reply(*contexts_.at(token.callee_machine), token, std::move(reply));
 }
 
 // ---- dispatcher ---------------------------------------------------------------
@@ -1301,9 +1095,9 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
         ctx.stats.count_deadline_reject();
         trace_instant(trace::EventKind::DeadlineReject, machine_id,
                       h.callsite_id, h.seq);
-        reject_remote_call(ctx, token, wire::RejectCode::DeadlineExceeded,
-                           "deadline expired before dispatch at " +
-                               site_desc(h.callsite_id));
+        reject_call(ctx, token, wire::RejectCode::DeadlineExceeded,
+                    "deadline expired before dispatch at " +
+                        site_desc(h.callsite_id));
         continue;
       }
       // Deserialize on the dispatcher (the unmarshaler lock discipline of
@@ -1357,7 +1151,6 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
     // nobody is waiting for (stray duplicate, or the caller already timed
     // out) is dropped and counted, never fatal.
     PendingReply rep;
-    rep.is_local = false;
     const std::uint32_t seq = h.seq;
     rep.msg = std::move(env->msg);
     if (try_fulfill_pending(ctx, seq, std::move(rep))) {
@@ -1432,9 +1225,7 @@ RmiSystem::DecodedCall RmiSystem::decode_call(std::uint16_t machine_id,
     }
   }
   if (call.reuse) reader.release_orphans();
-  charge(machine_id, pass);
-  ctx.stats.add_pass(pass);
-  add_site_pass(h.callsite_id, pass);
+  account(machine_id, h.callsite_id, pass);
   return call;
 }
 
@@ -1446,40 +1237,41 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
 
   ReplyToken token{call.callsite_id, call.seq, call.source, machine_id};
   token.oneway = call.oneway;
-  const std::uint64_t key = call_key(call.source, call.seq);
-  // The cancellation flag is only live while the call is here: once the
-  // reply (or reject) is decided, a late cancel has lost the race.
-  auto drop_cancel_token = [&] {
-    if (!call.cancel) return;
-    std::scoped_lock lock(ctx.cancel_mu);
-    ctx.cancel_tokens.erase(key);
-  };
-  // Put the decoded arguments back where they belong without running the
-  // handler: reinsert into the reuse slot (§3.3) or free the graphs.
-  auto release_args = [&] {
+  // Put the decoded arguments back where they belong: reinsert into the
+  // reuse slot (§3.3) or free the graphs.  The cancellation flag is only
+  // live while the call is here: once the reply (or reject) is decided, a
+  // late cancel has lost the race.
+  auto finish = [&](bool args_consumed) {
     if (call.reuse) {
+      RMIOPT_CHECK(!args_consumed,
+                   "reuse_args call site must not consume its arguments");
       std::scoped_lock lock(call.slot->mu);
       call.slot->cached = call.args;
-    } else {
-      serial::SerialStats freep;
-      free_arg_graphs(m.heap(), call.args, freep);
-      charge(machine_id, freep);
-      ctx.stats.add_pass(freep);
-      add_site_pass(call.callsite_id, freep);
+    } else if (!args_consumed) {
+      free_args(machine_id, call.callsite_id, call.args);
+    }
+    if (call.cancel) {
+      std::scoped_lock lock(ctx.cancel_mu);
+      ctx.cancel_tokens.erase(call_key(call.source, call.seq));
     }
   };
-
-  // Reuse-slot boundary poll #1: a call cancelled (or expired) while it
-  // sat in the executor queue is refused without running the handler.
-  if (call.cancel && call.cancel->requested()) {
+  // Reuse-slot boundary polls: a call cancelled while it sat in the
+  // executor queue (#1, before the handler) or while the handler ran (#2,
+  // before the reply) is refused with a typed Cancelled reject; the
+  // tombstone answers any duplicate instead of re-execution.
+  auto cancel_requested = [&] {
+    if (!call.cancel || !call.cancel->requested()) return false;
     ctx.stats.count_cancel_honored();
     trace_instant(trace::EventKind::CancelHonored, machine_id,
                   call.callsite_id, call.seq);
-    reject_remote_call(ctx, token, wire::RejectCode::Cancelled,
-                       "cancelled before execution at " +
-                           site_desc(call.callsite_id));
-    release_args();
-    drop_cancel_token();
+    return true;
+  };
+
+  if (cancel_requested()) {
+    reject_call(ctx, token, wire::RejectCode::Cancelled,
+                "cancelled before execution at " +
+                    site_desc(call.callsite_id));
+    finish(false);
     return;
   }
   if (call.deadline_ns != 0 &&
@@ -1487,58 +1279,18 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
     ctx.stats.count_deadline_reject();
     trace_instant(trace::EventKind::DeadlineReject, machine_id,
                   call.callsite_id, call.seq);
-    reject_remote_call(ctx, token, wire::RejectCode::DeadlineExceeded,
-                       "deadline expired before execution at " +
-                           site_desc(call.callsite_id));
-    release_args();
-    drop_cancel_token();
+    reject_call(ctx, token, wire::RejectCode::DeadlineExceeded,
+                "deadline expired before execution at " +
+                    site_desc(call.callsite_id));
+    finish(false);
     return;
   }
 
-  om::ObjRef self = nullptr;
-  bool bad_export = false;
-  {
-    std::scoped_lock lock(ctx.exports_mu);
-    // Externally-derived index: a bad export id becomes a remote
-    // exception at the caller, not a callee abort.
-    if (call.target_export < ctx.exports.size()) {
-      self = ctx.exports[call.target_export];
-    } else {
-      bad_export = true;
-    }
-  }
-  CallContext cc(*this, m, self, token, call.deadline_ns,
-                 call.cancel.get());
-  trace::Recorder* const rec = recorder();
   const std::int64_t handler_start_ns =
-      rec != nullptr ? m.clock().now().as_nanos() : 0;
-  HandlerResult res;
-  // A nested invoke that failed fast on deadline or admission propagates
-  // its *typed* verdict to this call's caller (as a Reject, which the
-  // caller maps back), so a deep chain fails with the true reason.
-  bool propagate_reject = false;
-  wire::RejectCode propagate_code = wire::RejectCode::DeadlineExceeded;
-  if (bad_export) {
-    res = HandlerResult::exception("unknown export id " +
-                                   std::to_string(call.target_export));
-  } else {
-    try {
-      // Nested invokes inherit the remaining budget via the ambient
-      // deadline (minus ExecutorConfig::deadline_slack_ns per hop).
-      AmbientDeadlineScope scope(call.deadline_ns);
-      res = methods_[site.method_id].second(cc, call.scalars, call.args);
-    } catch (const DeadlineExceeded& e) {
-      propagate_reject = true;
-      propagate_code = wire::RejectCode::DeadlineExceeded;
-      res = HandlerResult::exception(e.what());
-    } catch (const Overload& e) {
-      propagate_reject = true;
-      propagate_code = wire::RejectCode::Overload;
-      res = HandlerResult::exception(e.what());
-    } catch (const Error& e) {
-      res = HandlerResult::exception(e.what());
-    }
-  }
+      recorder() != nullptr ? m.clock().now().as_nanos() : 0;
+  HandlerOutcome out =
+      run_handler(m, ctx, site, token, call.target_export, call.deadline_ns,
+                  call.cancel.get(), call.scalars, call.args);
   trace_span(trace::EventKind::HandlerRun, machine_id, call.callsite_id,
              call.seq, handler_start_ns);
 
@@ -1546,56 +1298,15 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
   // arguments stay live until the reply is serialized (as a GC would
   // ensure).  Handlers whose *deferred* reply uses argument data must set
   // args_consumed and manage the graphs themselves.
-  //
-  // Reuse-slot boundary poll #2: a cancel that arrived while the handler
-  // ran abandons the computed reply — the caller is gone; the tombstone
-  // answers any duplicate with Cancelled instead of re-execution.
-  if (!res.deferred) {
-    if (call.cancel && call.cancel->requested()) {
-      ctx.stats.count_cancel_honored();
-      trace_instant(trace::EventKind::CancelHonored, machine_id,
-                    call.callsite_id, call.seq);
-      if (res.give_ownership && res.value != nullptr) {
-        serial::SerialStats pass;
-        pass.objects_freed += m.heap().free_graph(res.value);
-        charge(machine_id, pass);
-        ctx.stats.add_pass(pass);
-        add_site_pass(call.callsite_id, pass);
-      }
-      reject_remote_call(ctx, token, wire::RejectCode::Cancelled,
-                         "reply abandoned after cancellation at " +
-                             site_desc(call.callsite_id));
-    } else if (propagate_reject) {
-      reject_remote_call(ctx, token, propagate_code, res.error);
-    } else if (res.is_exception) {
-      send_exception(token, res.error);
-    } else {
-      send_reply(token, res.value, res.give_ownership);
+  if (!out.res.deferred) {
+    if (cancel_requested()) {
+      out.reject = wire::RejectCode::Cancelled;
+      out.res.error = "reply abandoned after cancellation at " +
+                      site_desc(call.callsite_id);
     }
+    send_outcome(ctx, token, out);
   }
-  if (call.reuse) {
-    RMIOPT_CHECK(!res.args_consumed,
-                 "reuse_args call site must not consume its arguments");
-    std::scoped_lock lock(call.slot->mu);
-    call.slot->cached = call.args;  // retain for the next invocation (§3.3)
-  } else if (!res.args_consumed) {
-    serial::SerialStats freep;
-    free_arg_graphs(m.heap(), call.args, freep);
-    charge(machine_id, freep);
-    ctx.stats.add_pass(freep);
-    add_site_pass(call.callsite_id, freep);
-  }
-  drop_cancel_token();
-}
-
-void RmiSystem::add_site_pass(std::uint32_t callsite_id,
-                              const serial::SerialStats& pass,
-                              int local_rpcs, int remote_rpcs) {
-  std::scoped_lock lock(site_stats_mu_);
-  RmiStatsSnapshot& s = site_stats_[callsite_id];
-  s.serial += pass;
-  s.local_rpcs += static_cast<std::uint64_t>(local_rpcs);
-  s.remote_rpcs += static_cast<std::uint64_t>(remote_rpcs);
+  finish(out.res.args_consumed);
 }
 
 RmiStatsSnapshot RmiSystem::callsite_stats(std::uint32_t callsite_id) const {

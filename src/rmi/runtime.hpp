@@ -26,6 +26,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -355,11 +356,11 @@ class RmiSystem {
   friend class RmiFuture;
   friend struct AsyncCallState;
 
+  // A call's outcome at the caller: the reply message (Return / Ack /
+  // Exception / Reject, for remote and local calls alike), a local call's
+  // cloned return value, or the detector's verdict on the callee.
   struct PendingReply {
-    bool is_local = false;
     om::ObjRef local_value = nullptr;
-    bool is_exception = false;
-    std::string error;
     // The callee was declared dead while the call was in flight
     // (fail_pending_to): await_pending converts this to MachineDown.
     bool machine_down = false;
@@ -441,17 +442,48 @@ class RmiSystem {
     std::shared_ptr<CancelToken> cancel;  // polled at reuse-slot boundaries
   };
 
+  // What a handler step produced: the result, plus the typed verdict of a
+  // nested call that failed fast on deadline or admission — the call is
+  // then answered with that Reject, so a deep chain fails with the true
+  // reason whatever the placement.
+  struct HandlerOutcome {
+    HandlerResult res;
+    std::optional<wire::RejectCode> reject;
+  };
+
   void dispatch_loop(std::uint16_t machine_id);
   // Dispatcher side: deserialize the call while "holding the network"
   // (the unmarshaler-lock discipline of §4).
   DecodedCall decode_call(std::uint16_t machine_id, net::Envelope env);
   // Executor side: run the handler, reply, and release/retain arguments.
   void execute_call(std::uint16_t machine_id, DecodedCall call);
-  om::ObjRef invoke_local(std::uint16_t caller, RemoteRef target,
-                          const CompiledCallSite& site,
-                          std::span<const om::ObjRef> args,
-                          std::span<const std::int64_t> scalars,
-                          std::uint32_t seq, std::int64_t deadline_ns);
+  // The one caller-side pipeline behind invoke_async and invoke_oneway:
+  // deadline gate, admission, counters, then either run_local or header,
+  // serialization and send.  A oneway call registers no pending slot and
+  // returns an invalid future.
+  RmiFuture start_call(std::uint16_t caller, RemoteRef target,
+                       std::uint32_t callsite_id,
+                       std::span<const om::ObjRef> args,
+                       std::span<const std::int64_t> scalars,
+                       const CallOptions& opts, bool oneway);
+  // A same-machine call: clone the arguments (copy semantics, §1), run the
+  // handler inline, reply or free, and — unless oneway — await the reply.
+  om::ObjRef run_local(std::uint16_t caller, RemoteRef target,
+                       const CompiledCallSite& site,
+                       std::span<const om::ObjRef> args,
+                       std::span<const std::int64_t> scalars,
+                       std::uint32_t seq, std::int64_t deadline_ns,
+                       bool oneway);
+  // Resolves the export and runs the handler under the call's ambient
+  // deadline.  A bad export id becomes a remote exception, not an abort.
+  HandlerOutcome run_handler(net::Machine& m, MachineContext& ctx,
+                             const CompiledCallSite& site,
+                             const ReplyToken& token,
+                             std::uint32_t target_export,
+                             std::int64_t deadline_ns,
+                             const CancelToken* cancel,
+                             std::span<const std::int64_t> scalars,
+                             std::span<const om::ObjRef> args);
   // The blocking half of a remote call (RmiFuture::get): await the reply
   // and deserialize it on the caller's clock.
   om::ObjRef finish_remote(AsyncCallState& st);
@@ -460,11 +492,21 @@ class RmiSystem {
   // reply the caller will drop as a stray.
   void send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
                        std::uint32_t callsite_id, std::uint32_t seq);
-  // Callee side: refuse (or abandon) a remote call with a typed Reject.
-  // Caches the reject as the call's at-most-once tombstone, then sends it
-  // as the reply — except for oneway calls, where nobody is waiting.
-  void reject_remote_call(MachineContext& ctx, const ReplyToken& token,
-                          wire::RejectCode code, const std::string& reason);
+  // Callee side: refuse (or abandon) a call with a typed Reject.  A remote
+  // call caches the reject as its at-most-once tombstone; the reject then
+  // goes to the caller — except for oneway calls, where nobody is waiting.
+  void reject_call(MachineContext& ctx, const ReplyToken& token,
+                   wire::RejectCode code, const std::string& reason);
+  // Answers a call: a local one by fulfilling the caller's pending slot
+  // (with `local_value`, the cloned return value), a remote one by caching
+  // the reply for at-most-once replay and sending it.  A oneway call is
+  // only recorded as complete — nothing is sent, nobody is fulfilled.
+  void deliver_reply(MachineContext& callee_ctx, const ReplyToken& token,
+                     wire::Message reply, om::ObjRef local_value = nullptr);
+  // Answers a finished handler: its propagated reject, its exception or
+  // its return value.
+  void send_outcome(MachineContext& ctx, const ReplyToken& token,
+                    const HandlerOutcome& out);
   // The absolute deadline a call starting at `now_ns` carries: explicit
   // budget or configured default, tightened by the ambient parent
   // deadline minus slack when invoked from inside a handler.  0 = none.
@@ -475,24 +517,29 @@ class RmiSystem {
   std::string site_desc(std::uint32_t callsite_id) const;
   ReuseSlot& reuse_slot(MachineContext& ctx, bool ret_side,
                         std::uint32_t callsite_id, std::size_t arity);
-  void charge(std::uint16_t machine_id, const serial::SerialStats& pass);
+  // Every serializer, clone and free pass goes through here: charges its
+  // CPU cost to `machine_id`'s clock and adds it to the machine's and the
+  // call site's statistics (with the call counted as local or remote).
+  void account(std::uint16_t machine_id, std::uint32_t callsite_id,
+               const serial::SerialStats& pass, int local_rpcs = 0,
+               int remote_rpcs = 0);
   // Per-call marshaler/skeleton machinery: generic stubs additionally box
   // every argument/scalar/return value (§1's "method table lookups and
   // skeleton indirections").
   void charge_stub(std::uint16_t machine_id, const CompiledCallSite& site,
                    std::size_t nargs, std::size_t nscalars);
-  void free_arg_graphs(om::Heap& heap, std::span<const om::ObjRef> args,
-                       serial::SerialStats& pass);
+  // Frees the union of the argument graphs on `machine_id` and accounts it.
+  void free_args(std::uint16_t machine_id, std::uint32_t callsite_id,
+                 std::span<const om::ObjRef> args);
   std::promise<PendingReply>& register_pending(MachineContext& ctx,
                                                std::uint32_t seq,
                                                std::uint16_t dest);
-  void fulfill_pending(MachineContext& ctx, std::uint32_t seq,
-                       PendingReply reply);
-  // Dispatcher-facing variant: a reply whose call is not pending (a stray
-  // from the network) is reported as false, never fatal.  Fulfillment
-  // erases the entry, so a second reply for the same seq — e.g. a late
-  // real reply after fail_pending_to already failed the call — is a
-  // counted stray, never a write to a consumed promise.
+  void drop_pending(MachineContext& ctx, std::uint32_t seq);
+  // A reply whose call is not pending (a stray from the network) is
+  // reported as false, never fatal.  Fulfillment erases the entry, so a
+  // second reply for the same seq — e.g. a late real reply after
+  // fail_pending_to already failed the call — is a counted stray, never a
+  // write to a consumed promise.
   bool try_fulfill_pending(MachineContext& ctx, std::uint32_t seq,
                            PendingReply reply);
   // Fails every pending call addressed to `machine` with machine_down —
@@ -530,9 +577,6 @@ class RmiSystem {
   // by replay instead of re-execution.
   void cache_reply(MachineContext& ctx, std::uint64_t key,
                    const wire::Message& reply);
-
-  void add_site_pass(std::uint32_t callsite_id, const serial::SerialStats& pass,
-                     int local_rpcs = 0, int remote_rpcs = 0);
 
   // ---- tracing --------------------------------------------------------------
   // The recorder attached to the cluster (nullptr when tracing is off —

@@ -359,6 +359,82 @@ TEST_F(OverloadTest, NestedCallInheritsTheParentBudgetAndFailsFast) {
   EXPECT_EQ(sys->stats(1).deadline_rejects, 1u);
 }
 
+TEST_F(OverloadTest, NestedFailFastKeepsItsTypedVerdictAtEitherPlacement) {
+  // The scenario above, with the outer object exported on the callee
+  // (remote) and on the caller's own machine (local): placement must not
+  // change the verdict, so the local path maps the handler's nested
+  // DeadlineExceeded to a typed reject exactly like execute_call does.
+  for (const std::uint16_t outer_machine : {std::uint16_t{1}, std::uint16_t{0}}) {
+    boot(3);
+    std::atomic<int> inner_ran{0};
+    const auto inner_mid =
+        sys->define_method("inner", [&](CallContext&, auto, auto) {
+          ++inner_ran;
+          return HandlerResult{};
+        });
+    const auto inner_cs = sys->add_callsite(site(inner_mid, false));
+    RemoteRef inner_ref;
+    const auto outer_mid =
+        sys->define_method("outer", [&](CallContext& ctx, auto, auto) {
+          ctx.machine().clock().advance(SimTime::millis(10));
+          sys->invoke(outer_machine, inner_ref, inner_cs, {});
+          return HandlerResult{};
+        });
+    const auto outer_cs = sys->add_callsite(site(outer_mid, false));
+    const RemoteRef outer_ref = sys->export_object(
+        outer_machine, cluster->machine(outer_machine).heap().alloc(point_id));
+    inner_ref =
+        sys->export_object(2, cluster->machine(2).heap().alloc(point_id));
+    sys->start();
+
+    try {
+      sys->invoke(0, outer_ref, outer_cs, {}, {},
+                  CallOptions{.budget_ns = 1'000'000});
+      FAIL() << "expected DeadlineExceeded, outer on machine "
+             << outer_machine;
+    } catch (const DeadlineExceeded& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("budget exhausted before the send"),
+                std::string::npos)
+          << what;
+    }
+    sys->stop();
+    EXPECT_EQ(inner_ran.load(), 0);
+    EXPECT_EQ(sys->stats(outer_machine).deadline_rejects, 1u);
+  }
+}
+
+TEST_F(OverloadTest, BadExportIdIsARemoteExceptionAtEitherPlacement) {
+  boot(2);
+  std::atomic<int> ran{0};
+  const auto mid = sys->define_method("noop", [&](CallContext&, auto, auto) {
+    ++ran;
+    return HandlerResult{};
+  });
+  const auto cs = sys->add_callsite(site(mid, false));
+  for (std::uint16_t m = 0; m < 2; ++m) {
+    sys->export_object(m, cluster->machine(m).heap().alloc(point_id));
+  }
+  sys->start();
+
+  for (const std::uint16_t target : {std::uint16_t{1}, std::uint16_t{0}}) {
+    try {
+      sys->invoke(0, RemoteRef{target, 999}, cs, {});
+      FAIL() << "expected RemoteException, target machine " << target;
+    } catch (const RemoteException& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown export id 999"),
+                std::string::npos)
+          << e.what();
+    }
+    // A oneway call to a bad export is answered by nobody: no throw.
+    EXPECT_NO_THROW(sys->invoke_oneway(0, RemoteRef{target, 999}, cs, {}));
+    // The failed call left nothing behind: the next call completes.
+    EXPECT_EQ(sys->invoke(0, RemoteRef{target, 0}, cs, {}), nullptr);
+  }
+  sys->stop();
+  EXPECT_EQ(ran.load(), 2);
+}
+
 TEST_F(OverloadTest, DefaultDeadlineConfigAppliesToEveryCall) {
   ExecutorConfig exec;
   exec.default_deadline_ns = SimTime::seconds(1).as_nanos();
@@ -579,6 +655,149 @@ TEST_F(OverloadTest, AdmissionDecisionsAreDeterministic) {
   const RmiStatsSnapshot second = run_burst();
   EXPECT_GT(first.sheds, 0u);
   EXPECT_EQ(first, second);
+}
+
+// A credit stall spends part of the call's budget, so the deadline is
+// checked again before anything is serialized — for both entry points.
+TEST_F(OverloadTest, AsyncCallRechecksItsDeadlineAfterACreditStall) {
+  ExecutorConfig exec;
+  exec.inbox_bound = 4;
+  exec.inbox_highwater = 1;
+  exec.credit_stall_ns = 200'000;
+  exec.admission_service_ns = SimTime::seconds(1).as_nanos();
+  boot(2, exec);
+  const auto mid = sys->define_method(
+      "sink", [](CallContext&, auto, auto) { return HandlerResult{}; });
+  const auto cs = sys->add_callsite(site(mid, false));
+  const RemoteRef ref =
+      sys->export_object(1, cluster->machine(1).heap().alloc(point_id));
+  sys->start();
+
+  sys->invoke_oneway(0, ref, cs, {});  // fills the inbox to the mark
+  try {
+    sys->invoke_async(0, ref, cs, {}, {}, CallOptions{.budget_ns = 50'000});
+    FAIL() << "expected DeadlineExceeded";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "call via site 0 (overload.site, class) to machine 1: "
+                  "budget exhausted by flow-control backpressure"),
+              std::string::npos)
+        << e.what();
+  }
+  sys->stop();
+  EXPECT_EQ(sys->stats(0).credit_stalls, 1u);
+  EXPECT_EQ(sys->stats(0).deadline_rejects, 1u);
+  EXPECT_EQ(sys->stats(1).deadline_rejects, 0u);  // never sent
+}
+
+TEST_F(OverloadTest, OnewayCallRechecksItsDeadlineAfterACreditStall) {
+  ExecutorConfig exec;
+  exec.inbox_bound = 4;
+  exec.inbox_highwater = 1;
+  exec.credit_stall_ns = 200'000;
+  exec.admission_service_ns = SimTime::seconds(1).as_nanos();
+  boot(2, exec);
+  std::atomic<int> ran{0};
+  const auto mid = sys->define_method("sink", [&](CallContext&, auto, auto) {
+    ++ran;
+    return HandlerResult{};
+  });
+  const auto cs = sys->add_callsite(site(mid, false));
+  const RemoteRef ref =
+      sys->export_object(1, cluster->machine(1).heap().alloc(point_id));
+  sys->start();
+
+  sys->invoke_oneway(0, ref, cs, {});  // fills the inbox to the mark
+  try {
+    sys->invoke_oneway(0, ref, cs, {}, {}, CallOptions{.budget_ns = 50'000});
+    FAIL() << "expected DeadlineExceeded";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "oneway call via site 0 (overload.site, class) to machine "
+                  "1: budget exhausted by flow-control backpressure"),
+              std::string::npos)
+        << e.what();
+  }
+  sys->stop();
+  EXPECT_EQ(ran.load(), 1);  // only the first oneway reached the callee
+  EXPECT_EQ(sys->stats(0).credit_stalls, 1u);
+  EXPECT_EQ(sys->stats(0).deadline_rejects, 1u);
+  EXPECT_EQ(sys->stats(1).deadline_rejects, 0u);  // never sent
+}
+
+// ---- accounting across call modes -------------------------------------------
+
+// One call, one object argument, through each entry point: a oneway call
+// differs from invoke_async only in its reply, never in what the request
+// costs, and a local oneway clones its argument exactly like a local
+// invoke.
+TEST_F(OverloadTest, EveryCallModeAccountsTheRequestAlike) {
+  struct Probe {
+    std::uint64_t request_bytes = 0;
+    std::int64_t caller_advance_ns = 0;
+    RmiStatsSnapshot site;
+  };
+  auto run = [&](std::uint16_t target_machine, bool oneway) {
+    boot(2);
+    // A remote handler waits until the request has been measured, so no
+    // reply traffic can land in the caller's numbers.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    if (target_machine == 0) release.set_value();
+    const auto mid = sys->define_method("sink", [&](CallContext&, auto, auto) {
+      released.wait();
+      return HandlerResult{};
+    });
+    CompiledCallSite cs = site(mid, false);
+    cs.plan->args.push_back(serial::make_dynamic_node(point_id));
+    const auto cs_id = sys->add_callsite(std::move(cs));
+    const RemoteRef ref = sys->export_object(
+        target_machine,
+        cluster->machine(target_machine).heap().alloc(point_id));
+    sys->start();
+
+    const ObjRef arg = make_point(cluster->machine(0).heap(), 1.5, -2.5);
+    const std::uint64_t bytes0 = cluster->stats().bytes;
+    const std::int64_t t0 = cluster->machine(0).clock().now().as_nanos();
+    RmiFuture f;
+    if (oneway) {
+      sys->invoke_oneway(0, ref, cs_id, std::array{arg});
+    } else {
+      f = sys->invoke_async(0, ref, cs_id, std::array{arg});
+    }
+    Probe p;
+    p.request_bytes = cluster->stats().bytes - bytes0;
+    p.caller_advance_ns = cluster->machine(0).clock().now().as_nanos() - t0;
+    if (target_machine != 0) release.set_value();
+    if (f.valid()) f.get();
+    sys->stop();
+    p.site = sys->callsite_stats(cs_id);
+    return p;
+  };
+
+  const Probe async_remote = run(1, false);
+  const Probe oneway_remote = run(1, true);
+  EXPECT_GT(async_remote.request_bytes, 0u);
+  EXPECT_EQ(async_remote.request_bytes, oneway_remote.request_bytes);
+  EXPECT_GT(async_remote.caller_advance_ns, 0);
+  EXPECT_EQ(async_remote.caller_advance_ns, oneway_remote.caller_advance_ns);
+  EXPECT_GT(async_remote.site.serial.serializer_invocations, 0u);
+  EXPECT_EQ(async_remote.site.serial, oneway_remote.site.serial);
+  EXPECT_EQ(async_remote.site.remote_rpcs, 1u);
+  EXPECT_EQ(oneway_remote.site.remote_rpcs, 1u);
+
+  const Probe invoke_local = run(0, false);
+  const Probe oneway_local = run(0, true);
+  EXPECT_EQ(invoke_local.request_bytes, 0u);  // nothing crossed the wire
+  EXPECT_EQ(oneway_local.request_bytes, 0u);
+  EXPECT_EQ(invoke_local.site.serial.objects_allocated, 1u);
+  EXPECT_GT(invoke_local.site.serial.bytes_copied, 0u);
+  EXPECT_EQ(invoke_local.site.serial.objects_allocated,
+            oneway_local.site.serial.objects_allocated);
+  EXPECT_EQ(invoke_local.site.serial.bytes_copied,
+            oneway_local.site.serial.bytes_copied);
+  EXPECT_EQ(invoke_local.site.local_rpcs, 1u);
+  EXPECT_EQ(oneway_local.site.local_rpcs, 1u);
 }
 
 TEST_F(OverloadTest, DefaultConfigurationKeepsEveryRobustnessCounterAtZero) {
