@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Byte-identity gate for the seven deterministic paper tables.
+"""Byte-identity gate for the seven deterministic paper tables and the
+deterministic ablations.
 
 Every table except LU's (see check_lu_tolerance.py) is a pure function of
 the virtual clock: single-stream RMIs, no host timing in the output.  So
 any change to a table's text is a change to what the system computes —
 a makespan, a message count, a serializer counter — and must be
-deliberate.  This script runs the seven table binaries and compares each
-output byte for byte against its committed golden file in bench/golden/.
+deliberate.  The same holds for the ablations listed below.  Left out are
+the binaries that print host time or depend on thread scheduling:
+ablation_cycle_table, ablation_scaling and ablation_faults (whose lossy
+rows vary run to run), and LU's bench_table3_lu.  This script runs each
+binary and compares its output byte for byte against its committed
+golden file in bench/golden/.
 
 A golden file changes only in a change that means to change that table,
 and that change says so (which table, which rows, why) in CHANGES.md.
@@ -14,7 +19,7 @@ Regenerate with --update after such a change and commit the result.
 
 Usage: check_tables.py [BUILD_DIR] [--update]
   BUILD_DIR defaults to ./build; the binaries are read from BUILD_DIR/bench.
-Exits 1 and prints a unified diff per table on any difference.
+Exits 1 and prints a unified diff per binary on any difference.
 """
 
 import argparse
@@ -31,6 +36,11 @@ TABLES = [
     "bench_table6_superopt_stats",
     "bench_table7_webserver",
     "bench_table8_webserver_stats",
+    "ablation_wire_typeinfo",
+    "ablation_network",
+    "ablation_precise_cycles",
+    "ablation_reuse_shapecheck",
+    "ablation_transport",
 ]
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -72,7 +82,7 @@ def main() -> int:
             want.splitlines(keepends=True), out.splitlines(keepends=True),
             fromfile=f"golden/{name}.txt", tofile=f"{name} (this build)"))
     if failed:
-        print(f"check_tables: {len(failed)} of {len(TABLES)} tables differ "
+        print(f"check_tables: {len(failed)} of {len(TABLES)} outputs differ "
               f"from bench/golden: {', '.join(failed)}")
         return 1
     return 0
