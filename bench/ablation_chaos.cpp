@@ -2,10 +2,10 @@
 // slave) across every application and every paper optimization level,
 // with the heartbeat failure detector enabled.
 //
-// Same harness as tests/chaos_soak_test.cpp, scaled out: the test pins a
-// small fixed seed set for the tier-1 suite; this binary sweeps
-// RMIOPT_CHAOS_SEEDS consecutive seeds (default 10, CI passes more on
-// manual dispatch) starting at RMIOPT_CHAOS_BASE_SEED (default 1).
+// Same harness as tests/chaos_soak_test.cpp (apps/chaos.hpp), scaled out:
+// the test pins a small fixed seed set for the tier-1 suite; this binary
+// sweeps RMIOPT_CHAOS_SEEDS consecutive seeds (default 10, CI passes more
+// on manual dispatch) starting at RMIOPT_CHAOS_BASE_SEED (default 1).
 //
 // Invariants per (app, level, seed), against a clean same-config run:
 //  * check value unchanged — no handler double-execution, no lost work;
@@ -19,44 +19,14 @@
 #include <cstdlib>
 #include <string>
 
-#include "apps/lu.hpp"
-#include "apps/microbench.hpp"
-#include "apps/superopt.hpp"
-#include "apps/webserver.hpp"
+#include "apps/chaos.hpp"
 #include "bench/bench_common.hpp"
-#include "support/rng.hpp"
 
 using namespace rmiopt;
+using apps::kChaosApps;
 using codegen::OptLevel;
 
 namespace {
-
-// Keep in sync with tests/chaos_soak_test.cpp: same generator, so a seed
-// that fails here reproduces under the test harness too.
-net::FaultPlan chaos_plan(std::uint64_t seed, std::size_t machines,
-                          bool allow_crash) {
-  net::FaultPlan plan;
-  plan.seed = seed;
-  SplitMix64 rng(seed ^ 0x9e3779b97f4a7c15ull);
-  plan.default_link.drop = 0.06 * rng.next_double();
-  plan.default_link.duplicate = 0.05 * rng.next_double();
-  plan.default_link.reorder = 0.05 * rng.next_double();
-  plan.default_link.corrupt = 0.04 * rng.next_double();
-  if (allow_crash && machines > 2) {
-    const auto victim = static_cast<std::uint16_t>(
-        1 + rng.next_below(static_cast<std::uint64_t>(machines) - 1));
-    const auto at = static_cast<std::int64_t>(
-        200'000 + rng.next_below(2'000'000));
-    plan.crash_at(victim, at);
-  }
-  return plan;
-}
-
-net::FailureDetectorConfig chaos_detector() {
-  net::FailureDetectorConfig d;
-  d.enabled = true;
-  return d;
-}
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
@@ -64,95 +34,15 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
                                     : fallback;
 }
 
-struct ChaosApp {
-  const char* name;
-  std::size_t machines;
-  bool allow_crash;
-  // Runs the app at `level` under `plan`; a recorder re-runs a failure
-  // with tracing on.
-  std::function<apps::RunResult(OptLevel, const net::FaultPlan&,
-                                const net::FailureDetectorConfig&,
-                                trace::Recorder*)>
-      run;
-};
-
-std::vector<ChaosApp> make_apps() {
-  std::vector<ChaosApp> apps;
-  apps.push_back({"list", 2, false,
-                  [](OptLevel level, const net::FaultPlan& plan,
-                     const net::FailureDetectorConfig& det,
-                     trace::Recorder* rec) {
-                    apps::ListBenchConfig cfg;
-                    cfg.list_length = 16;
-                    cfg.iterations = 6;
-                    cfg.faults = plan;
-                    cfg.detector = det;
-                    cfg.recorder = rec;
-                    return run_list_bench(level, cfg);
-                  }});
-  apps.push_back({"array", 2, false,
-                  [](OptLevel level, const net::FaultPlan& plan,
-                     const net::FailureDetectorConfig& det,
-                     trace::Recorder* rec) {
-                    apps::ArrayBenchConfig cfg;
-                    cfg.rows = 8;
-                    cfg.cols = 8;
-                    cfg.iterations = 6;
-                    cfg.faults = plan;
-                    cfg.detector = det;
-                    cfg.recorder = rec;
-                    return run_array_bench(level, cfg);
-                  }});
-  apps.push_back({"lu", 2, false,
-                  [](OptLevel level, const net::FaultPlan& plan,
-                     const net::FailureDetectorConfig& det,
-                     trace::Recorder* rec) {
-                    apps::LuConfig cfg;
-                    cfg.n = 20;
-                    cfg.faults = plan;
-                    cfg.detector = det;
-                    cfg.recorder = rec;
-                    return run_lu(level, cfg);
-                  }});
-  apps.push_back({"superopt", 3, false,
-                  [](OptLevel level, const net::FaultPlan& plan,
-                     const net::FailureDetectorConfig& det,
-                     trace::Recorder* rec) {
-                    apps::SuperoptConfig cfg;
-                    cfg.max_len = 1;
-                    cfg.test_vectors = 4;
-                    cfg.machines = 3;
-                    cfg.faults = plan;
-                    cfg.detector = det;
-                    cfg.recorder = rec;
-                    return run_superopt(level, cfg);
-                  }});
-  apps.push_back({"webserver", 4, true,
-                  [](OptLevel level, const net::FaultPlan& plan,
-                     const net::FailureDetectorConfig& det,
-                     trace::Recorder* rec) {
-                    apps::WebserverConfig cfg;
-                    cfg.machines = 4;
-                    cfg.pages = 8;
-                    cfg.page_size = 128;
-                    cfg.requests = 30;
-                    cfg.call_timeout_ms = 5'000;
-                    cfg.faults = plan;
-                    cfg.detector = det;
-                    cfg.recorder = rec;
-                    return run_webserver(level, cfg);
-                  }});
-  return apps;
-}
-
 // Dumps a traced re-run of the failing config so CI can attach it.
-void dump_failure_trace(const ChaosApp& app, OptLevel level,
-                        const net::FaultPlan& plan) {
+void dump_failure_trace(const apps::ChaosApp& app, OptLevel level,
+                        apps::RunEnv env) {
   const char* path = std::getenv("RMIOPT_CHAOS_TRACE");
   if (path == nullptr || *path == '\0') path = "chaos_failure_trace.json";
   trace::MemoryRecorder rec;
+  env.recorder = &rec;
   try {
-    app.run(level, plan, chaos_detector(), &rec);
+    app.run(level, env);
   } catch (const Error&) {
     // The re-run may throw where the invariant run merely mis-counted;
     // the partial trace is still the artifact we want.
@@ -170,29 +60,25 @@ void dump_failure_trace(const ChaosApp& app, OptLevel level,
 int main() {
   const std::uint64_t seeds = env_u64("RMIOPT_CHAOS_SEEDS", 10);
   const std::uint64_t base = env_u64("RMIOPT_CHAOS_BASE_SEED", 1);
-  const auto apps = make_apps();
 
   std::printf(
       "chaos soak: %llu seeds x %zu apps x %zu levels, detector on\n"
       "(seeded lossy links everywhere; webserver also crashes one slave)\n\n",
-      static_cast<unsigned long long>(seeds), apps.size(),
+      static_cast<unsigned long long>(seeds), kChaosApps.size(),
       std::size(codegen::kPaperLevels));
 
   TextTable t({"app", "runs", "faults", "retrans", "deaths",
                       "failovers", "max slowdown"});
-  for (const ChaosApp& app : apps) {
+  for (const apps::ChaosApp& app : kChaosApps) {
     std::uint64_t runs = 0, faults = 0, retrans = 0, deaths = 0,
                   failovers = 0;
     double max_slowdown = 1.0;
     for (OptLevel level : codegen::kPaperLevels) {
-      const apps::RunResult clean =
-          app.run(level, net::FaultPlan{}, {}, nullptr);
+      const apps::RunResult clean = app.run(level, {});
       for (std::uint64_t s = 0; s < seeds; ++s) {
         const std::uint64_t seed = base + s;
-        const net::FaultPlan plan =
-            chaos_plan(seed, app.machines, app.allow_crash);
-        const apps::RunResult r =
-            app.run(level, plan, chaos_detector(), nullptr);
+        const apps::RunEnv env = app.env(seed);
+        const apps::RunResult r = app.run(level, env);
         ++runs;
         faults += r.net.faults();
         retrans += r.net.retransmits;
@@ -206,7 +92,7 @@ int main() {
         const bool time_ok =
             r.makespan.as_nanos() <=
             20 * clean.makespan.as_nanos() + 100'000'000;
-        if (!check_ok || !time_ok) dump_failure_trace(app, level, plan);
+        if (!check_ok || !time_ok) dump_failure_trace(app, level, env);
         RMIOPT_CHECK(check_ok,
                      "chaos changed the application result (" + where + ")");
         RMIOPT_CHECK(time_ok, "makespan unbounded under chaos (" + where +

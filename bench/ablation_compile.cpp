@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
   auto& lu = models[2].model;
   apps::LuConfig lucfg;
   lucfg.n = 16;
-  lucfg.model = &lu;
-  lucfg.pass_manager = &pm;
+  lucfg.env.model = &lu;
+  lucfg.env.pass_manager = &pm;
   const apps::RunResult lurun =
       apps::run_lu(codegen::OptLevel::SiteReuseCycle, lucfg);
 

@@ -24,11 +24,11 @@ namespace {
 apps::RunResult run_at(codegen::OptLevel level, double drop) {
   apps::ArrayBenchConfig cfg;
   cfg.iterations = 50;
-  cfg.faults.seed = 1234;
-  cfg.faults.default_link.drop = drop;
-  cfg.faults.default_link.duplicate = drop / 2;
-  cfg.faults.default_link.reorder = drop / 2;
-  cfg.faults.default_link.corrupt = drop / 4;
+  cfg.env.faults.seed = 1234;
+  cfg.env.faults.default_link.drop = drop;
+  cfg.env.faults.default_link.duplicate = drop / 2;
+  cfg.env.faults.default_link.reorder = drop / 2;
+  cfg.env.faults.default_link.corrupt = drop / 4;
   return apps::run_array_bench(level, cfg);
 }
 

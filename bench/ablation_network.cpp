@@ -16,7 +16,7 @@ int main() {
   for (const std::int64_t latency_us : {1, 5, 15, 50, 200, 1000}) {
     apps::ArrayBenchConfig cfg;
     cfg.iterations = 300;
-    cfg.cost.msg_latency_ns = latency_us * 1000;
+    cfg.env.cost.msg_latency_ns = latency_us * 1000;
     const double t_class =
         apps::run_array_bench(codegen::OptLevel::Class, cfg).makespan
             .as_seconds();

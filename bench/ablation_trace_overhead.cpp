@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       "linkedlist",
       [&](trace::Recorder* rec) {
         apps::ListBenchConfig cfg;
-        cfg.recorder = rec;
+        cfg.env.recorder = rec;
         return apps::run_list_bench(level, cfg);
       },
       list_rec);
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
       [&](trace::Recorder* rec) {
         apps::LuConfig cfg;
         cfg.n = 64;
-        cfg.recorder = rec;
+        cfg.env.recorder = rec;
         return apps::run_lu(level, cfg);
       },
       lu_rec, /*deterministic=*/false);
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       [&](trace::Recorder* rec) {
         apps::WebserverConfig cfg;
         cfg.requests = 200;
-        cfg.recorder = rec;
+        cfg.env.recorder = rec;
         return apps::run_webserver(level, cfg);
       },
       web_rec);
@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
   trace::MemoryRecorder faulty_rec;
   apps::WebserverConfig fcfg;
   fcfg.requests = 300;
-  fcfg.faults.seed = 99;
-  fcfg.faults.set_link(0, 1, {.drop = 0.05, .duplicate = 0.05});
-  fcfg.recorder = &faulty_rec;
+  fcfg.env.faults.seed = 99;
+  fcfg.env.faults.set_link(0, 1, {.drop = 0.05, .duplicate = 0.05});
+  fcfg.env.recorder = &faulty_rec;
   const apps::RunResult faulty = apps::run_webserver(level, fcfg);
 
   const auto retrans = faulty_rec.events_of(trace::EventKind::Retransmit);

@@ -24,14 +24,14 @@ namespace {
 
 double run_list(codegen::OptLevel level, net::TransportKind kind) {
   apps::ListBenchConfig cfg;
-  cfg.transport = kind;
+  cfg.env.transport = kind;
   return apps::run_list_bench(level, cfg).makespan.as_seconds();
 }
 
 double run_web(codegen::OptLevel level, net::TransportKind kind) {
   apps::WebserverConfig cfg;
   cfg.requests = 200;
-  cfg.transport = kind;
+  cfg.env.transport = kind;
   return apps::run_webserver(level, cfg).makespan.as_seconds();
 }
 

@@ -22,27 +22,25 @@ double gain(const Cfg& cfg, Runner run) {
   return (t_class - t_site) / t_class * 100.0;
 }
 
-template <typename Cfg>
-void zero_network(Cfg& cfg) {
-  cfg.cost.msg_latency_ns = 0;
-  cfg.cost.wire_byte_ns = 0;
-  cfg.cost.send_overhead_ns = 0;
+void zero_network(serial::CostModel& cost) {
+  cost.msg_latency_ns = 0;
+  cost.wire_byte_ns = 0;
+  cost.send_overhead_ns = 0;
 }
 
-template <typename Cfg>
-void zero_dispatch(Cfg& cfg) {
-  cfg.cost.serializer_invoke_ns = 0;
-  cfg.cost.type_decode_ns = 0;
-  cfg.cost.generic_stub_ns = cfg.cost.site_stub_ns;
-  cfg.cost.generic_arg_box_ns = 0;
+void zero_dispatch(serial::CostModel& cost) {
+  cost.serializer_invoke_ns = 0;
+  cost.type_decode_ns = 0;
+  cost.generic_stub_ns = cost.site_stub_ns;
+  cost.generic_arg_box_ns = 0;
 }
 
 template <typename Cfg, typename Runner>
 void report(const char* workload, Cfg base, Runner run, TextTable& t) {
   Cfg free_net = base;
-  zero_network(free_net);
+  zero_network(free_net.env.cost);
   Cfg free_cpu = base;
-  zero_dispatch(free_cpu);
+  zero_dispatch(free_cpu.env.cost);
   t.add_row({workload, "full model", fmt_fixed(gain(base, run), 1) + "%"});
   t.add_row({workload, "network free (CPU effects only)",
              fmt_fixed(gain(free_net, run), 1) + "%"});
@@ -59,22 +57,14 @@ int main() {
   // 'site' gain is almost entirely dispatch CPU.
   apps::ArrayBenchConfig array_cfg;
   array_cfg.iterations = 500;
-  report("double[16][16]", array_cfg,
-         [](codegen::OptLevel l, const apps::ArrayBenchConfig& c) {
-           return apps::run_array_bench(l, c);
-         },
-         t);
+  report("double[16][16]", array_cfg, apps::run_array_bench, t);
 
   // Many tiny objects: per-node type info is comparable to the payload;
   // the wire component matters ("a lot of network traffic is saved to
   // transmit type information for each linked list node", §5.1).
   apps::ListBenchConfig list_cfg;
   list_cfg.iterations = 500;
-  report("LinkedList(100)", list_cfg,
-         [](codegen::OptLevel l, const apps::ListBenchConfig& c) {
-           return apps::run_list_bench(l, c);
-         },
-         t);
+  report("LinkedList(100)", list_cfg, apps::run_list_bench, t);
 
   std::printf("Ablation: decomposing the call-site-specialization gain\n%s",
               t.render().c_str());

@@ -36,6 +36,29 @@ using namespace rmiopt;
 
 namespace {
 
+// The environment of one sweep cell: the zero-copy knobs and transport
+// under test, plus a frame probe folding every frame image into an
+// order-insensitive digest.
+struct ProbedEnv {
+  std::atomic<std::uint64_t> digest{0};
+  std::atomic<std::uint64_t> frames{0};
+  apps::RunEnv env;
+
+  ProbedEnv(bool gather, bool zcr, net::TransportKind transport) {
+    env.cost.zero_copy_send = gather;
+    env.cost.zero_copy_receive = zcr;
+    env.transport = transport;
+    env.frame_probe = [this](std::uint16_t, std::uint16_t,
+                             const wire::Frame& frame) {
+      const ByteBuffer image = wire::encode_frame(frame);
+      digest.fetch_xor(
+          fnv1a(image.contents().data(), image.contents().size()),
+          std::memory_order_relaxed);
+      frames.fetch_add(1, std::memory_order_relaxed);
+    };
+  }
+};
+
 // One sweep cell: an order-insensitive digest of every frame image the
 // transport carried (XOR of per-frame FNV-1a hashes commutes, so Sim's
 // inline delivery and Loopback's threaded delivery compare equal), plus
@@ -57,17 +80,8 @@ template <typename Cfg>
 Cell run_cell(const char* app, codegen::OptLevel level, bool gather,
               net::TransportKind transport, Cfg cfg,
               apps::RunResult (*runner)(codegen::OptLevel, const Cfg&)) {
-  std::atomic<std::uint64_t> digest{0};
-  std::atomic<std::uint64_t> frames{0};
-  cfg.cost.zero_copy_send = gather;
-  cfg.transport = transport;
-  cfg.frame_probe = [&digest, &frames](std::uint16_t, std::uint16_t,
-                                       const wire::Frame& frame) {
-    const ByteBuffer image = wire::encode_frame(frame);
-    digest.fetch_xor(fnv1a(image.contents().data(), image.contents().size()),
-                     std::memory_order_relaxed);
-    frames.fetch_add(1, std::memory_order_relaxed);
-  };
+  ProbedEnv probed(gather, /*zcr=*/false, transport);
+  cfg.env = probed.env;
   const apps::RunResult r = runner(level, cfg);
 
   Cell c;
@@ -75,8 +89,8 @@ Cell run_cell(const char* app, codegen::OptLevel level, bool gather,
   c.level = std::string(codegen::to_string(level));
   c.gather = gather;
   c.transport = transport == net::TransportKind::Sim ? "Sim" : "Loopback";
-  c.digest = digest.load();
-  c.frames = frames.load();
+  c.digest = probed.digest.load();
+  c.frames = probed.frames.load();
   c.gather_segments = r.total.serial.gather_segments;
   c.bytes_borrowed = r.total.serial.gather_bytes_borrowed;
   c.gathered_messages = r.net.gathered_messages;
@@ -106,22 +120,12 @@ struct RecvCell {
 
 RecvCell run_recv_cell(codegen::OptLevel level, bool gather, bool zcr,
                        net::TransportKind transport) {
-  std::atomic<std::uint64_t> digest{0};
-  std::atomic<std::uint64_t> frames{0};
+  ProbedEnv probed(gather, zcr, transport);
   apps::ArrayBenchConfig cfg;
   cfg.rows = 64;  // 512-byte rows: well past the borrow threshold
   cfg.cols = 64;
   cfg.iterations = 300;
-  cfg.cost.zero_copy_send = gather;
-  cfg.cost.zero_copy_receive = zcr;
-  cfg.transport = transport;
-  cfg.frame_probe = [&digest, &frames](std::uint16_t, std::uint16_t,
-                                       const wire::Frame& frame) {
-    const ByteBuffer image = wire::encode_frame(frame);
-    digest.fetch_xor(fnv1a(image.contents().data(), image.contents().size()),
-                     std::memory_order_relaxed);
-    frames.fetch_add(1, std::memory_order_relaxed);
-  };
+  cfg.env = probed.env;
   const apps::RunResult r = apps::run_array_bench(level, cfg);
 
   RecvCell c;
@@ -129,10 +133,10 @@ RecvCell run_recv_cell(codegen::OptLevel level, bool gather, bool zcr,
   c.gather = gather;
   c.zcr = zcr;
   c.transport = transport == net::TransportKind::Sim ? "Sim" : "Loopback";
-  c.digest = digest.load();
-  c.frames = frames.load();
+  c.digest = probed.digest.load();
+  c.frames = probed.frames.load();
   c.check = r.check;
-  c.deser_ns = r.total.serial.cpu_cost(cfg.cost).as_nanos();
+  c.deser_ns = r.total.serial.cpu_cost(cfg.env.cost).as_nanos();
   c.recv_segments = r.total.serial.recv_segments;
   c.recv_bytes_borrowed = r.total.serial.recv_bytes_borrowed;
   c.bytes_copied_rx = r.total.serial.bytes_copied_rx;

@@ -13,8 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/paper_figures.hpp"
+#include "apps/run_env.hpp"
 #include "apps/run_result.hpp"
 #include "codegen/opt_level.hpp"
+#include "driver/pass_manager.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 #include "trace/profile.hpp"
@@ -28,6 +31,20 @@ using codegen::OptLevel;
 struct LevelRun {
   OptLevel level;
   RunResult result;
+};
+
+// One shared model + pass manager for a whole level sweep: the analyses
+// run once and every level's plan generation reuses them.  A config takes
+// both through `env`; the model outlives the manager, as it must.
+struct SharedModel {
+  explicit SharedModel(apps::figures::FigureProgram (*make_model)())
+      : model(make_model()) {}
+  SharedModel(const SharedModel&) = delete;
+  SharedModel& operator=(const SharedModel&) = delete;
+
+  apps::figures::FigureProgram model;
+  driver::PassManager pm;
+  const apps::RunEnv env{.model = &model, .pass_manager = &pm};
 };
 
 inline std::vector<LevelRun> run_levels(

@@ -4,9 +4,7 @@
 // nothing (the list is conservatively kept cyclic, §7); '+reuse' is the
 // big win (~43%) because 100 allocations per RMI are saved.
 #include "apps/microbench.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -17,13 +15,9 @@ int main() {
        "site + reuse           91.5   43.3%",
        "site + reuse + cycle   91.5   43.3%"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_figure14();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_figure14);
   apps::ListBenchConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.list_length = 100;
   cfg.iterations = 1000;
   const auto runs = bench::run_levels(

@@ -4,9 +4,7 @@
 // marshalers (type-info removal) are the biggest single step; the full
 // stack gains ~30%.
 #include "apps/microbench.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -17,13 +15,9 @@ int main() {
        "site + reuse          103.0   21.0%",
        "site + reuse + cycle   91.5   29.8%"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_figure12();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_figure12);
   apps::ArrayBenchConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.rows = 16;
   cfg.cols = 16;
   cfg.iterations = 1000;

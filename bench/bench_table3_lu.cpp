@@ -3,9 +3,7 @@
 // Expected shape (paper): call-site-specific code helps most (~13%),
 // cycle elision adds ~3%, reuse ~3%; everything on gains ~18.7%.
 #include "apps/lu.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -16,13 +14,9 @@ int main() {
        "site + reuse          67.28   15.6%",
        "site + reuse + cycle  64.85   18.7%"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_lu_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_lu_model);
   apps::LuConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.n = 256;
   const auto runs = bench::run_levels([&](bench::OptLevel l) {
     const apps::RunResult r = apps::run_lu(l, cfg);

@@ -5,9 +5,7 @@
 // recycles most deserialized objects and cuts "new (MBytes)" to a
 // quarter; cycle elision drops cycle lookups to (almost) zero.
 #include "apps/lu.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -26,13 +24,9 @@ int main() {
        "site + reuse + cycle  132.645      545.192     538.006      87.04   "
        " 2"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_lu_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_lu_model);
   apps::LuConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.n = 256;
   const auto runs = bench::run_levels(
       [&](bench::OptLevel l) { return apps::run_lu(l, cfg); });

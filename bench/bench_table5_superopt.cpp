@@ -5,9 +5,7 @@
 // program is a ~10-object graph whose every node is probed; reuse adds
 // nothing (the queued candidates escape).
 #include "apps/superopt.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -18,13 +16,9 @@ int main() {
        "site + reuse          375.47   6.1%",
        "site + reuse + cycle  322.06   19.4%"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_superopt_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_superopt_model);
   apps::SuperoptConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.max_len = 2;
   const auto runs = bench::run_levels([&](bench::OptLevel l) {
     const apps::RunResult r = apps::run_superopt(l, cfg);

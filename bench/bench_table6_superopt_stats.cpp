@@ -5,9 +5,7 @@
 // collapsing to ~0 with elision; allocation volume unchanged by reuse
 // (the arguments escape into the queue).
 #include "apps/superopt.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -26,13 +24,9 @@ int main() {
        "site + reuse + cycle  2            5250554     5250570      1101    "
        " 17"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_superopt_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_superopt_model);
   apps::SuperoptConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.max_len = 2;
   const auto runs = bench::run_levels(
       [&](bench::OptLevel l) { return apps::run_superopt(l, cfg); });

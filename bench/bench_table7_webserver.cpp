@@ -4,9 +4,7 @@
 // more from cycle elision (every page body is probed per request
 // otherwise), reuse contributes via allocation elimination; total ~37%.
 #include "apps/webserver.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -17,13 +15,9 @@ int main() {
        "site + reuse          38.0   20.3%",
        "site + reuse + cycle  29.7   37.7%"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_webserver_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_webserver_model);
   apps::WebserverConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.requests = 2000;
   const auto runs = bench::run_levels([&](bench::OptLevel l) {
     const apps::RunResult r = apps::run_webserver(l, cfg);

@@ -4,9 +4,7 @@
 // the first webpage has been retrieved" — allocation volume drops to ~0;
 // cycle elision removes all lookups.
 #include "apps/webserver.hpp"
-#include "apps/paper_figures.hpp"
 #include "bench/bench_common.hpp"
-#include "driver/pass_manager.hpp"
 
 int main() {
   using namespace rmiopt;
@@ -25,13 +23,9 @@ int main() {
        "site + reuse + cycle  3.499.988    500.007     500.003      0.0     "
        " 3"});
 
-  // One shared model + pass manager for the whole level sweep: the
-  // analyses run once and every level's plan generation reuses them.
-  apps::figures::FigureProgram model = apps::figures::make_webserver_model();
-  driver::PassManager pm;
+  bench::SharedModel shared(apps::figures::make_webserver_model);
   apps::WebserverConfig cfg;
-  cfg.model = &model;
-  cfg.pass_manager = &pm;
+  cfg.env = shared.env;
   cfg.requests = 2000;
   const auto runs = bench::run_levels(
       [&](bench::OptLevel l) { return apps::run_webserver(l, cfg); });

@@ -7,8 +7,6 @@
 #include <thread>
 
 #include "apps/harness.hpp"
-#include "apps/paper_figures.hpp"
-#include "driver/compile.hpp"
 #include "rmi/name_service.hpp"
 #include "support/rng.hpp"
 
@@ -54,17 +52,10 @@ RunResult run_lu(codegen::OptLevel level, const LuConfig& cfg) {
   const std::size_t P = cfg.machines;
   RMIOPT_CHECK(P >= 1 && n >= 2, "LU needs >=1 machine and n>=2");
 
-  figures::FigureProgram local_model;
-  if (cfg.model == nullptr) local_model = figures::make_lu_model();
-  const figures::FigureProgram& model = cfg.model ? *cfg.model : local_model;
-  driver::CompiledProgram prog =
-      compile_model(model, level, cfg.model ? cfg.pass_manager : nullptr);
-
-  net::Cluster cluster(P, *model.types, cfg.cost, cfg.transport, {},
-                       cfg.faults, cfg.detector);
-  if (cfg.recorder != nullptr) cluster.set_recorder(cfg.recorder);
-  rmi::RmiSystem sys(cluster, *model.types,
-                     rmi::ExecutorConfig{cfg.dispatch_workers});
+  AppRun run(cfg.env, figures::make_lu_model, level, P);
+  const figures::FigureProgram& model = run.model;
+  net::Cluster& cluster = run.cluster;
+  rmi::RmiSystem& sys = run.sys;
   // The JavaParty runtime's own bootstrap RMIs use generic class-mode
   // stubs — the source of the residual cycle lookups in Table 4.
   rmi::NameService names(sys, *model.types);
@@ -136,11 +127,11 @@ RunResult run_lu(codegen::OptLevel level, const LuConfig& cfg) {
       });
 
   const auto flush_site = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("flush"), flush_method));
+      driver::to_runtime_site(run.prog, model.tag("flush"), flush_method));
   const auto fetch_site = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("fetch_row"), fetch_method));
+      driver::to_runtime_site(run.prog, model.tag("fetch_row"), fetch_method));
   const auto barrier_site = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("barrier"), barrier_method));
+      driver::to_runtime_site(run.prog, model.tag("barrier"), barrier_method));
   const bool fetch_reuses_ret = sys.callsite(fetch_site).plan->reuse_ret;
 
   // One exported "LU" object per machine (its methods above act on the
@@ -227,7 +218,7 @@ RunResult run_lu(codegen::OptLevel level, const LuConfig& cfg) {
     threads.emplace_back(worker, static_cast<std::uint16_t>(m));
   }
   for (auto& t : threads) t.join();
-  sys.stop();
+  RunResult r = run.finish();
 
   // ---- verification: max |L*U - A| over machine 0's assembled result ------
   LuMachine& r0 = state[0];
@@ -243,9 +234,6 @@ RunResult run_lu(codegen::OptLevel level, const LuConfig& cfg) {
       residual = std::max(residual, std::abs(sum - original[i * n + j]));
     }
   }
-
-  RunResult r = collect_run(cluster, sys);
-  r.compile = prog.stats;
   r.check = residual;
   return r;
 }

@@ -9,20 +9,11 @@
 // result is verified against L·U = A.
 #pragma once
 
+#include "apps/run_env.hpp"
 #include "apps/run_result.hpp"
 #include "codegen/opt_level.hpp"
-#include "net/failure_detector.hpp"
-#include "net/transport.hpp"
-
-namespace rmiopt::driver {
-class PassManager;
-}
 
 namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
-}
 
 struct LuConfig {
   std::size_t n = 64;          // matrix dimension (paper: 1024)
@@ -32,21 +23,7 @@ struct LuConfig {
   // non-vectorized).  Charged to the worker's machine clock so compute
   // and communication trade off realistically in the makespan.
   double flop_pair_ns = 2.0;
-  serial::CostModel cost{};    // network/serialization cost model
-  net::TransportKind transport = net::TransportKind::Sim;
-  std::size_t dispatch_workers = 1;  // RMI handler pool per machine
-  net::FaultPlan faults{};     // seeded fault injection (inert by default)
-  net::FailureDetectorConfig detector{};  // heartbeat failure detection (inert by default)
-  // Optional trace recorder (nullptr = tracing off, zero overhead).
-  trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
-  // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
-  // Optional shared pass manager: analyses and plans are then cached
-  // across runs and levels (nullptr = one-shot driver::compile).  Honored
-  // only together with `model` — a caching manager must never hold
-  // analyses of a run-local module that dies with the run.
-  driver::PassManager* pass_manager = nullptr;
+  RunEnv env;
 };
 
 // RunResult::check is the maximum |L·U - A| residual entry (machine 0's

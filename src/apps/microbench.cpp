@@ -1,26 +1,16 @@
 #include "apps/microbench.hpp"
 
 #include "apps/harness.hpp"
-#include "apps/paper_figures.hpp"
-#include "driver/compile.hpp"
 
 namespace rmiopt::apps {
 
 RunResult run_list_bench(codegen::OptLevel level, const ListBenchConfig& cfg) {
   RMIOPT_CHECK(cfg.machines >= 2, "microbenchmarks need >= 2 machines");
-  figures::FigureProgram local_model;
-  if (cfg.model == nullptr) local_model = figures::make_figure14();
-  const figures::FigureProgram& model = cfg.model ? *cfg.model : local_model;
-  driver::CompiledProgram prog = compile_model(
-      model, level, cfg.model ? cfg.pass_manager : nullptr,
-      driver::CompileOptions{.precise_cycles = cfg.precise_cycles});
-
-  net::Cluster cluster(cfg.machines, *model.types, cfg.cost, cfg.transport,
-                       {}, cfg.faults, cfg.detector);
-  if (cfg.recorder != nullptr) cluster.set_recorder(cfg.recorder);
-  if (cfg.frame_probe) cluster.transport().set_frame_probe(cfg.frame_probe);
-  rmi::RmiSystem sys(cluster, *model.types,
-                     rmi::ExecutorConfig{cfg.dispatch_workers});
+  AppRun run(cfg.env, figures::make_figure14, level, cfg.machines,
+             driver::CompileOptions{.precise_cycles = cfg.precise_cycles});
+  const figures::FigureProgram& model = run.model;
+  net::Cluster& cluster = run.cluster;
+  rmi::RmiSystem& sys = run.sys;
 
   // remote void send(LinkedList l): the handler only receives (Figure 14).
   std::uint64_t received = 0;
@@ -30,7 +20,7 @@ RunResult run_list_bench(codegen::OptLevel level, const ListBenchConfig& cfg) {
         return rmi::HandlerResult{};
       });
   const auto site_id = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("send"), send_method));
+      driver::to_runtime_site(run.prog, model.tag("send"), send_method));
 
   om::Heap& h1 = cluster.machine(1).heap();
   const rmi::RemoteRef foo = sys.export_object(
@@ -52,10 +42,8 @@ RunResult run_list_bench(codegen::OptLevel level, const ListBenchConfig& cfg) {
   for (int i = 0; i < cfg.iterations; ++i) {
     sys.invoke(0, foo, site_id, std::array{head});
   }
-  sys.stop();
 
-  RunResult r = collect_run(cluster, sys);
-  r.compile = prog.stats;
+  RunResult r = run.finish();
   r.check = static_cast<double>(received);
   h0.free_graph(head);
   return r;
@@ -64,18 +52,10 @@ RunResult run_list_bench(codegen::OptLevel level, const ListBenchConfig& cfg) {
 RunResult run_array_bench(codegen::OptLevel level,
                           const ArrayBenchConfig& cfg) {
   RMIOPT_CHECK(cfg.machines >= 2, "microbenchmarks need >= 2 machines");
-  figures::FigureProgram local_model;
-  if (cfg.model == nullptr) local_model = figures::make_figure12();
-  const figures::FigureProgram& model = cfg.model ? *cfg.model : local_model;
-  driver::CompiledProgram prog =
-      compile_model(model, level, cfg.model ? cfg.pass_manager : nullptr);
-
-  net::Cluster cluster(cfg.machines, *model.types, cfg.cost, cfg.transport,
-                       {}, cfg.faults, cfg.detector);
-  if (cfg.recorder != nullptr) cluster.set_recorder(cfg.recorder);
-  if (cfg.frame_probe) cluster.transport().set_frame_probe(cfg.frame_probe);
-  rmi::RmiSystem sys(cluster, *model.types,
-                     rmi::ExecutorConfig{cfg.dispatch_workers});
+  AppRun run(cfg.env, figures::make_figure12, level, cfg.machines);
+  const figures::FigureProgram& model = run.model;
+  net::Cluster& cluster = run.cluster;
+  rmi::RmiSystem& sys = run.sys;
 
   double checksum = 0.0;
   const auto send_method = sys.define_method(
@@ -87,7 +67,7 @@ RunResult run_array_bench(codegen::OptLevel level,
         return rmi::HandlerResult{};
       });
   const auto site_id = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("send"), send_method));
+      driver::to_runtime_site(run.prog, model.tag("send"), send_method));
 
   om::Heap& h1 = cluster.machine(1).heap();
   const rmi::RemoteRef target = sys.export_object(
@@ -122,10 +102,8 @@ RunResult run_array_bench(codegen::OptLevel level,
     to_send->get_elem_ref(0)->elems<double>()[0] = static_cast<double>(i);
     sys.invoke(0, target, site_id, std::array{to_send});
   }
-  sys.stop();
 
-  RunResult r = collect_run(cluster, sys);
-  r.compile = prog.stats;
+  RunResult r = run.finish();
   r.check = checksum;  // sum of i = iters*(iters-1)/2 when delivered right
   h0.free_graph(mat);
   if (alt != nullptr) h0.free_graph(alt);

@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "apps/harness.hpp"
-#include "apps/paper_figures.hpp"
-#include "driver/compile.hpp"
 #include "rmi/name_service.hpp"
 #include "support/rng.hpp"
 
@@ -111,11 +109,11 @@ std::uint64_t sop_candidates_per_length() {
 }
 
 RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
-  figures::FigureProgram local_model;
-  if (cfg.model == nullptr) local_model = figures::make_superopt_model();
-  const figures::FigureProgram& model = cfg.model ? *cfg.model : local_model;
-  driver::CompiledProgram prog =
-      compile_model(model, level, cfg.model ? cfg.pass_manager : nullptr);
+  RMIOPT_CHECK(cfg.machines >= 2, "superopt needs >=2 machines");
+  AppRun run(cfg.env, figures::make_superopt_model, level, cfg.machines);
+  const figures::FigureProgram& model = run.model;
+  net::Cluster& cluster = run.cluster;
+  rmi::RmiSystem& sys = run.sys;
 
   const SopProgram target =
       cfg.target.empty()
@@ -123,15 +121,9 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
                                 decode_operand(0)}}
           : cfg.target;
 
-  net::Cluster cluster(cfg.machines, *model.types, cfg.cost, cfg.transport,
-                       {}, cfg.faults, cfg.detector);
-  if (cfg.recorder != nullptr) cluster.set_recorder(cfg.recorder);
-  rmi::RmiSystem sys(cluster, *model.types,
-                     rmi::ExecutorConfig{cfg.dispatch_workers});
   // JavaParty runtime bootstrap (class-mode stubs): the residual cycle
   // lookups of Table 6.
   rmi::NameService names(sys, *model.types);
-  RMIOPT_CHECK(cfg.machines >= 2, "superopt needs >=2 machines");
 
   const om::ClassDescriptor& operand_cls =
       model.types->get(model.cls("Operand"));
@@ -199,7 +191,7 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
         return rmi::HandlerResult{.args_consumed = true};
       });
   const auto test_site = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("test"), test_method));
+      driver::to_runtime_site(run.prog, model.tag("test"), test_method));
 
   const om::ClassId tester_cls = marker_class(*model.types, "Tester");
   std::vector<rmi::RemoteRef> tester_refs;
@@ -286,10 +278,8 @@ RunResult run_superopt(codegen::OptLevel level, const SuperoptConfig& cfg) {
   while (tested.load() < sent) std::this_thread::yield();
   for (auto& q : queues) q.close();
   for (auto& t : tester_threads) t.join();
-  sys.stop();
 
-  RunResult r = collect_run(cluster, sys);
-  r.compile = prog.stats;
+  RunResult r = run.finish();
   r.check = static_cast<double>(equivalences.load());
   return r;
 }

@@ -12,20 +12,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/run_env.hpp"
 #include "apps/run_result.hpp"
 #include "codegen/opt_level.hpp"
-#include "net/failure_detector.hpp"
-#include "net/transport.hpp"
-
-namespace rmiopt::driver {
-class PassManager;
-}
 
 namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
-}
 
 // The tiny target ISA.
 enum class SopOp : std::int32_t { Add, Sub, And, Or, Xor, Mov, Shl };
@@ -56,21 +47,7 @@ struct SuperoptConfig {
   std::size_t machines = 2;    // producer + (machines-1) testers
   std::size_t queue_capacity = 64;
   std::uint64_t seed = 7;
-  serial::CostModel cost{};
-  net::TransportKind transport = net::TransportKind::Sim;
-  std::size_t dispatch_workers = 1;
-  net::FaultPlan faults{};     // seeded fault injection (inert by default)
-  net::FailureDetectorConfig detector{};  // heartbeat failure detection (inert by default)
-  // Optional trace recorder (nullptr = tracing off, zero overhead).
-  trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
-  // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
-  // Optional shared pass manager: analyses and plans are then cached
-  // across runs and levels (nullptr = one-shot driver::compile).  Honored
-  // only together with `model` — a caching manager must never hold
-  // analyses of a run-local module that dies with the run.
-  driver::PassManager* pass_manager = nullptr;
+  RunEnv env;
 };
 
 // RunResult::check = number of equivalent sequences found (deterministic

@@ -6,8 +6,6 @@
 #include <unordered_map>
 
 #include "apps/harness.hpp"
-#include "apps/paper_figures.hpp"
-#include "driver/compile.hpp"
 #include "rmi/name_service.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -26,18 +24,11 @@ std::string url_for(std::size_t page) {
 
 RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
   RMIOPT_CHECK(cfg.machines >= 2, "webserver needs a master and a slave");
-  figures::FigureProgram local_model;
-  if (cfg.model == nullptr) local_model = figures::make_webserver_model();
-  const figures::FigureProgram& model = cfg.model ? *cfg.model : local_model;
-  driver::CompiledProgram prog =
-      compile_model(model, level, cfg.model ? cfg.pass_manager : nullptr);
-
-  net::Cluster cluster(cfg.machines, *model.types, cfg.cost, cfg.transport,
-                       {}, cfg.faults, cfg.detector);
-  if (cfg.recorder != nullptr) cluster.set_recorder(cfg.recorder);
-  rmi::RmiSystem sys(cluster, *model.types,
-                     rmi::ExecutorConfig{cfg.dispatch_workers,
-                                         cfg.call_timeout_ms});
+  AppRun run(cfg.env, figures::make_webserver_model, level, cfg.machines, {},
+             cfg.call_timeout_ms);
+  const figures::FigureProgram& model = run.model;
+  net::Cluster& cluster = run.cluster;
+  rmi::RmiSystem& sys = run.sys;
   // JavaParty runtime bootstrap (class-mode stubs): the residual cycle
   // lookups of Table 8.
   rmi::NameService names(sys, *model.types);
@@ -76,7 +67,7 @@ RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
         return rmi::HandlerResult{.value = it->second};
       });
   const auto site = sys.add_callsite(
-      driver::to_runtime_site(prog, model.tag("get_page"), get_page));
+      driver::to_runtime_site(run.prog, model.tag("get_page"), get_page));
   const bool ret_reused = sys.callsite(site).plan->reuse_ret;
 
   const om::ClassId server_cls = marker_class(*model.types, "Server");
@@ -96,7 +87,7 @@ RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
       // replicated bind below re-points its name at a live replica.
     }
   }
-  if (cfg.faults.enabled()) {
+  if (cfg.env.faults.enabled()) {
     // Failover is the name service's job now: publish each name with its
     // full replica group (every slave holds every page, so live replicas
     // are interchangeable) and let the registry advance the binding when
@@ -177,10 +168,8 @@ RunResult run_webserver(codegen::OptLevel level, const WebserverConfig& cfg) {
     for (std::size_t c = 0; c < clients; ++c) threads.emplace_back(client, c);
     for (auto& t : threads) t.join();
   }
-  sys.stop();
 
-  RunResult r = collect_run(cluster, sys);
-  r.compile = prog.stats;
+  RunResult r = run.finish();
   r.failovers = names.failovers();
   r.check = static_cast<double>(bytes_received.load());
   RMIOPT_CHECK(misses.load() == 0, "webserver served a 404");

@@ -8,20 +8,11 @@
 // reusable (Tables 7 and 8).
 #pragma once
 
+#include "apps/run_env.hpp"
 #include "apps/run_result.hpp"
 #include "codegen/opt_level.hpp"
-#include "net/failure_detector.hpp"
-#include "net/transport.hpp"
-
-namespace rmiopt::driver {
-class PassManager;
-}
 
 namespace rmiopt::apps {
-
-namespace figures {
-struct FigureProgram;
-}
 
 struct WebserverConfig {
   std::size_t machines = 2;     // master + (machines-1) slaves
@@ -30,27 +21,10 @@ struct WebserverConfig {
   std::size_t requests = 500;   // total page retrievals
   std::size_t concurrent_clients = 1;  // master-side request pipelines
   std::uint64_t seed = 3;       // request sequence
-  serial::CostModel cost{};
-  net::TransportKind transport = net::TransportKind::Sim;
-  std::size_t dispatch_workers = 1;
-  net::FaultPlan faults{};  // seeded fault injection (inert by default)
-  // Heartbeat failure detection (inert by default).  Enabled, a crashed
-  // slave is confirmed dead in bounded virtual time and its traffic fails
-  // fast (rmi::MachineDown) instead of burning the full ARQ budget.
-  net::FailureDetectorConfig detector{};
   // Real-time backstop per blocked call (forwarded to the RMI runtime;
   // virtual-time failures do not wait on it).
   std::int64_t call_timeout_ms = 30'000;
-  // Optional trace recorder (nullptr = tracing off, zero overhead).
-  trace::Recorder* recorder = nullptr;
-  // Optional shared IR model (nullptr = build a fresh one per run).  Must
-  // outlive any PassManager that compiled it (see driver/pass_manager.hpp).
-  figures::FigureProgram* model = nullptr;
-  // Optional shared pass manager: analyses and plans are then cached
-  // across runs and levels (nullptr = one-shot driver::compile).  Honored
-  // only together with `model` — a caching manager must never hold
-  // analyses of a run-local module that dies with the run.
-  driver::PassManager* pass_manager = nullptr;
+  RunEnv env;
 };
 
 // RunResult::check = total page bytes received by the master; a correct

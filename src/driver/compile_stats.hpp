@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "support/field_list.hpp"
+
 namespace rmiopt::driver {
 
 enum class PassId : std::uint8_t {
@@ -44,17 +46,18 @@ constexpr std::string_view to_string(PassId p) {
   return "?";
 }
 
+// Every PassStats field, declared once (support/field_list.hpp).
+#define RMIOPT_PASS_STATS_FIELDS(X) \
+  X(Counter, executions)            \
+  X(Counter, cache_hits)            \
+  X(Counter, cache_misses)          \
+  X(std::int64_t, wall_ns)
+
 struct PassStats {
-  std::uint64_t executions = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::int64_t wall_ns = 0;
+  RMIOPT_PASS_STATS_FIELDS(RMIOPT_DECLARE_FIELD)
 
   PassStats& operator+=(const PassStats& o) {
-    executions += o.executions;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    wall_ns += o.wall_ns;
+    RMIOPT_PASS_STATS_FIELDS(RMIOPT_ADD_FIELD)
     return *this;
   }
 };

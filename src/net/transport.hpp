@@ -40,6 +40,7 @@
 
 #include "net/fault.hpp"
 #include "serial/cost_model.hpp"
+#include "support/field_list.hpp"
 #include "support/sim_time.hpp"
 #include "trace/trace.hpp"
 #include "wire/framing.hpp"
@@ -49,67 +50,53 @@ namespace rmiopt::net {
 
 class Machine;
 
+// Every traffic counter, declared once (support/field_list.hpp).  The
+// transport counts the first list itself, one relaxed atomic per field;
+// Cluster::stats() fills in the second from state the cluster owns.
+#define RMIOPT_NET_TRANSPORT_FIELDS(X)                                         \
+  X(Counter, messages)          /* logical wire::Messages carried */           \
+  X(Counter, bytes)             /* charged wire bytes (header + payload) */    \
+  X(Counter, frames)            /* physical frames transmitted */              \
+  X(Counter, coalesced)         /* messages that shared a frame with others */ \
+  X(Counter, gathered_messages) /* messages sent scatter-gather */             \
+  /* Fault/reliability counters: all zero on a healthy network. */             \
+  X(Counter, dropped)           /* frames lost in transit */                   \
+  X(Counter, duplicated)        /* extra copies injected */                    \
+  X(Counter, reordered)         /* stale copies delivered late */              \
+  X(Counter, corrupted)         /* frames rejected by the checksum */          \
+  X(Counter, retransmits)       /* ARQ re-sends of an undelivered frame */     \
+  X(Counter, dedup_hits)        /* frames discarded by a receive window */     \
+  X(Counter, timeouts)          /* retransmit timers the sender waited out */
+
+#define RMIOPT_NET_CLUSTER_FIELDS(X)                                           \
+  /* Receive-side frame pooling, from the per-machine pools: both zero */      \
+  /* unless CostModel::zero_copy_receive routed delivery through pooled, */    \
+  /* pinned frame buffers. */                                                  \
+  X(Counter, frame_pool_hits)       /* deliveries served by the freelist */    \
+  X(Counter, frame_pool_misses)     /* freelist dry: fresh buffer */           \
+  /* Receive-window health, from the machines the windows live on: all */      \
+  /* zero on a healthy network. */                                             \
+  X(Counter, dedup_forced_slides)   /* horizon forced past a gap */            \
+  X(Counter, dedup_late_recoveries) /* delayed frames still delivered */       \
+  X(Counter, dedup_skipped_expired) /* gap entries that aged out */            \
+  /* Failure detection, from the detector: all zero with the detector */       \
+  /* disabled, the default. */                                                 \
+  X(Counter, heartbeats)            /* probes that reached the monitor */      \
+  X(Counter, heartbeat_misses)      /* expected probes that did not */         \
+  X(Counter, suspicions)            /* machines marked Suspected */            \
+  X(Counter, machine_deaths)        /* machines confirmed dead */
+
 // Traffic counters.  The raw atomics stay private: readers take a
 // Snapshot (a plain value type) and aggregate snapshots with +=.
 class NetworkStats {
  public:
   struct Snapshot {
-    std::uint64_t messages = 0;   // logical wire::Messages carried
-    std::uint64_t bytes = 0;      // charged wire bytes (header + payload)
-    std::uint64_t frames = 0;     // physical frames transmitted
-    std::uint64_t coalesced = 0;  // messages that shared a frame with others
-    std::uint64_t gathered_messages = 0;  // messages sent scatter-gather
-
-    // Receive-side frame pooling (filled in by Cluster::stats() from the
-    // per-machine pools; both zero unless CostModel::zero_copy_receive
-    // routed delivery through pooled, pinned frame buffers).
-    std::uint64_t frame_pool_hits = 0;    // deliveries served by the freelist
-    std::uint64_t frame_pool_misses = 0;  // freelist dry: fresh buffer
-
-    // Fault/reliability counters — all zero on a healthy network.
-    std::uint64_t dropped = 0;      // frames lost in transit
-    std::uint64_t duplicated = 0;   // extra copies injected
-    std::uint64_t reordered = 0;    // stale copies delivered late
-    std::uint64_t corrupted = 0;    // frames rejected by the checksum
-    std::uint64_t retransmits = 0;  // ARQ re-sends of an undelivered frame
-    std::uint64_t dedup_hits = 0;   // frames discarded by a receive window
-    std::uint64_t timeouts = 0;     // retransmit timers the sender waited out
-
-    // Receive-window health (filled in by Cluster::stats(), which owns
-    // the machines the windows live on) — all zero on a healthy network.
-    std::uint64_t dedup_forced_slides = 0;   // horizon forced past a gap
-    std::uint64_t dedup_late_recoveries = 0; // delayed frames still delivered
-    std::uint64_t dedup_skipped_expired = 0; // gap entries that aged out
-
-    // Failure detection (filled in by Cluster::stats() from the detector;
-    // all zero with the detector disabled, the default).
-    std::uint64_t heartbeats = 0;        // probes that reached the monitor
-    std::uint64_t heartbeat_misses = 0;  // expected probes that did not
-    std::uint64_t suspicions = 0;        // machines marked Suspected
-    std::uint64_t machine_deaths = 0;    // machines confirmed dead
+    RMIOPT_NET_TRANSPORT_FIELDS(RMIOPT_DECLARE_FIELD)
+    RMIOPT_NET_CLUSTER_FIELDS(RMIOPT_DECLARE_FIELD)
 
     Snapshot& operator+=(const Snapshot& o) {
-      messages += o.messages;
-      bytes += o.bytes;
-      frames += o.frames;
-      coalesced += o.coalesced;
-      gathered_messages += o.gathered_messages;
-      frame_pool_hits += o.frame_pool_hits;
-      frame_pool_misses += o.frame_pool_misses;
-      dropped += o.dropped;
-      duplicated += o.duplicated;
-      reordered += o.reordered;
-      corrupted += o.corrupted;
-      retransmits += o.retransmits;
-      dedup_hits += o.dedup_hits;
-      timeouts += o.timeouts;
-      dedup_forced_slides += o.dedup_forced_slides;
-      dedup_late_recoveries += o.dedup_late_recoveries;
-      dedup_skipped_expired += o.dedup_skipped_expired;
-      heartbeats += o.heartbeats;
-      heartbeat_misses += o.heartbeat_misses;
-      suspicions += o.suspicions;
-      machine_deaths += o.machine_deaths;
+      RMIOPT_NET_TRANSPORT_FIELDS(RMIOPT_ADD_FIELD)
+      RMIOPT_NET_CLUSTER_FIELDS(RMIOPT_ADD_FIELD)
       return *this;
     }
 
@@ -156,34 +143,18 @@ class NetworkStats {
 
   Snapshot snapshot() const {
     Snapshot s;
-    s.messages = messages_.load(std::memory_order_relaxed);
-    s.bytes = bytes_.load(std::memory_order_relaxed);
-    s.frames = frames_.load(std::memory_order_relaxed);
-    s.coalesced = coalesced_.load(std::memory_order_relaxed);
-    s.gathered_messages = gathered_messages_.load(std::memory_order_relaxed);
-    s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.duplicated = duplicated_.load(std::memory_order_relaxed);
-    s.reordered = reordered_.load(std::memory_order_relaxed);
-    s.corrupted = corrupted_.load(std::memory_order_relaxed);
-    s.retransmits = retransmits_.load(std::memory_order_relaxed);
-    s.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
+#define RMIOPT_LOAD_FIELD(type, name) \
+  s.name = name##_.load(std::memory_order_relaxed);
+    RMIOPT_NET_TRANSPORT_FIELDS(RMIOPT_LOAD_FIELD)
+#undef RMIOPT_LOAD_FIELD
     return s;
   }
 
  private:
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> gathered_messages_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> duplicated_{0};
-  std::atomic<std::uint64_t> reordered_{0};
-  std::atomic<std::uint64_t> corrupted_{0};
-  std::atomic<std::uint64_t> retransmits_{0};
-  std::atomic<std::uint64_t> dedup_hits_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
+  // One relaxed atomic `name_` per transport-counted field.
+#define RMIOPT_ATOMIC_FIELD(type, name) std::atomic<type> name##_{0};
+  RMIOPT_NET_TRANSPORT_FIELDS(RMIOPT_ATOMIC_FIELD)
+#undef RMIOPT_ATOMIC_FIELD
 };
 
 enum class TransportKind {

@@ -19,6 +19,9 @@
 //    call is refused with a typed rmi::Overload the caller can retry
 //    with backoff.  Shed calls never enter the backlog, so the model
 //    cannot collapse under a misbehaving sender.
+// A call whose credit stall carries it to or past its deadline is refused
+// too (the caller raises DeadlineExceeded) and, like a shed call, never
+// enters the backlog: nothing is sent, so it must not hold an inbox slot.
 //
 // With inbox_bound == 0 (the default) the controller is inert: admit()
 // is never called and no state exists, keeping the default invoke path
@@ -34,8 +37,13 @@ namespace rmiopt::rmi {
 
 class AdmissionController {
  public:
+  enum class Verdict {
+    Admitted,
+    Shed,      // inbox at its bound
+    Deadline,  // the credit stall reached the call's deadline
+  };
   struct Decision {
-    bool admitted = true;
+    Verdict verdict = Verdict::Admitted;
     // Virtual nanoseconds of backpressure the sender must charge to its
     // own clock before the send (0 when below the high-water mark).
     std::int64_t stall_ns = 0;
@@ -52,15 +60,17 @@ class AdmissionController {
 
   bool enabled() const { return bound_ != 0; }
 
-  // One call offered at the sender's virtual time `now_ns`.  Returns the
-  // decision; the caller charges `stall_ns` to its clock (the delayed
-  // send) and, on admitted == false, raises Overload without sending.
-  Decision admit(std::int64_t now_ns) {
+  // One call offered at the sender's virtual time `now_ns`, with absolute
+  // virtual deadline `deadline_ns` (0 = none).  Returns the decision; the
+  // caller charges `stall_ns` to its clock (the delayed send) and, unless
+  // admitted, raises Overload (Shed) or DeadlineExceeded (Deadline)
+  // without sending.
+  Decision admit(std::int64_t now_ns, std::int64_t deadline_ns) {
     std::scoped_lock lock(mu_);
     drain(now_ns);
     Decision d;
     if (backlog_.size() >= bound_) {
-      d.admitted = false;
+      d.verdict = Verdict::Shed;
       return d;
     }
     if (backlog_.size() >= highwater_) {
@@ -69,6 +79,10 @@ class AdmissionController {
       // The stall advanced the sender's clock; backlog keeps draining
       // underneath it before the call is finally enqueued.
       now_ns += d.stall_ns;
+      if (deadline_ns != 0 && now_ns >= deadline_ns) {
+        d.verdict = Verdict::Deadline;
+        return d;
+      }
       drain(now_ns);
     }
     const std::int64_t start =

@@ -320,7 +320,7 @@ void RmiSystem::send_cancel_raw(std::uint16_t caller, std::uint16_t dest,
                                 std::uint32_t callsite_id,
                                 std::uint32_t seq) {
   MachineContext& cctx = *contexts_.at(caller);
-  cctx.stats.count_cancel_sent();
+  cctx.stats.count(&RmiStatsSnapshot::cancels_sent);
   trace_instant(trace::EventKind::CancelSent, caller, callsite_id, seq);
   wire::Message c;
   c.header.kind = wire::MsgKind::Cancel;
@@ -361,7 +361,7 @@ void RmiSystem::deliver_reply(MachineContext& callee_ctx,
     // The caller's machine is unreachable; the call has already executed,
     // so all we can do is count the lost reply.  A surviving caller will
     // surface its own RmiTimeout.
-    callee_ctx.stats.count_undeliverable_reply();
+    callee_ctx.stats.count(&RmiStatsSnapshot::undeliverable_replies);
   }
 }
 
@@ -418,8 +418,8 @@ RmiSystem::PendingReply RmiSystem::await_pending(
           fut.wait_for(std::chrono::seconds(0)) !=
               std::future_status::ready) {
         drop_pending(ctx, seq);
-        ctx.stats.count_call_timeout();
-        ctx.stats.count_machine_down();
+        ctx.stats.count(&RmiStatsSnapshot::call_timeouts);
+        ctx.stats.count(&RmiStatsSnapshot::machine_down_failures);
         throw MachineDown(
             dest, "call seq " + std::to_string(seq) + " via " +
                       site_desc(callsite_id) + " to machine " +
@@ -435,7 +435,7 @@ RmiSystem::PendingReply RmiSystem::await_pending(
   }
   if (timed_out) {
     drop_pending(ctx, seq);
-    ctx.stats.count_call_timeout();
+    ctx.stats.count(&RmiStatsSnapshot::call_timeouts);
     // The callee may still be computing: tell it to stop (best-effort) so
     // the reply nobody will read is abandoned at the next poll boundary.
     if (dest != caller) send_cancel_raw(caller, dest, callsite_id, seq);
@@ -446,8 +446,8 @@ RmiSystem::PendingReply RmiSystem::await_pending(
   PendingReply rep = fut.get();
   drop_pending(ctx, seq);
   if (rep.machine_down) {
-    ctx.stats.count_call_timeout();
-    ctx.stats.count_machine_down();
+    ctx.stats.count(&RmiStatsSnapshot::call_timeouts);
+    ctx.stats.count(&RmiStatsSnapshot::machine_down_failures);
     throw MachineDown(dest, "call seq " + std::to_string(seq) + " via " +
                                 site_desc(callsite_id) + " to machine " +
                                 std::to_string(dest) +
@@ -467,7 +467,7 @@ RmiSystem::PendingReply RmiSystem::await_pending(
                              std::to_string(dest) + ": " + reason;
     switch (code) {
       case wire::RejectCode::DeadlineExceeded:
-        ctx.stats.count_call_timeout();
+        ctx.stats.count(&RmiStatsSnapshot::call_timeouts);
         throw DeadlineExceeded(what);
       case wire::RejectCode::Overload:
         throw Overload(what);
@@ -551,7 +551,7 @@ RmiSystem::CallAdmission RmiSystem::admit_call(std::uint16_t machine_id,
     if (vit == ctx.reply_cache.end()) continue;  // already released
     if (!vit->second.replied) {
       ctx.reply_cache_order.push_back(victim);  // pinned: still in flight
-      ctx.stats.count_reply_cache_pin();
+      ctx.stats.count(&RmiStatsSnapshot::reply_cache_pins);
       trace_instant(trace::EventKind::ReplyCachePinned, machine_id,
                     trace::Event::kNoCallsite,
                     static_cast<std::uint32_t>(victim));
@@ -655,7 +655,7 @@ RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
       compute_deadline(m.clock().now().as_nanos(), opts);
   const auto check_deadline = [&](const char* verdict) {
     if (deadline == 0 || m.clock().now().as_nanos() < deadline) return;
-    cctx.stats.count_deadline_reject();
+    cctx.stats.count(&RmiStatsSnapshot::deadline_rejects);
     trace_instant(trace::EventKind::DeadlineReject, caller, callsite_id, seq);
     throw DeadlineExceeded(what(verdict));
   };
@@ -666,38 +666,39 @@ RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
   AdmissionController& adm = *contexts_.at(target.machine)->admission;
   if (!local && adm.enabled()) {
     const AdmissionController::Decision d =
-        adm.admit(m.clock().now().as_nanos());
+        adm.admit(m.clock().now().as_nanos(), deadline);
     if (d.stall_ns > 0) {
       // Backpressure: the flow-control credit delays this sender's
       // virtual-time send, pacing it to the callee's capacity.
       const std::int64_t stall_start =
           recorder() != nullptr ? m.clock().now().as_nanos() : 0;
       m.clock().advance(SimTime::nanos(d.stall_ns));
-      cctx.stats.count_credit_stall();
+      cctx.stats.count(&RmiStatsSnapshot::credit_stalls);
       trace_span(trace::EventKind::CreditStall, caller, callsite_id, seq,
                  stall_start);
     }
-    if (!d.admitted) {
-      cctx.stats.count_shed();
+    if (d.verdict == AdmissionController::Verdict::Shed) {
+      cctx.stats.count(&RmiStatsSnapshot::sheds);
       trace_instant(trace::EventKind::OverloadShed, caller, callsite_id,
                     seq);
       throw Overload(what(" shed: inbox at its bound (" +
                           std::to_string(exec_cfg_.inbox_bound) +
                           "); retry with backoff"));
     }
-    // The stall consumed part of the budget; re-check before sending.
+    // The stall consumed part of the budget; re-check before sending.  A
+    // Deadline verdict was never enqueued, so the refusal holds no slot.
     check_deadline(": budget exhausted by flow-control backpressure");
   }
 
   if (oneway) {
-    cctx.stats.count_oneway_call();
+    cctx.stats.count(&RmiStatsSnapshot::oneway_calls);
     trace_instant(trace::EventKind::OnewaySend, caller, callsite_id, seq);
   }
   if (local) {
     // The local path is synchronous by construction (the handler runs
     // inline on this thread): a call that wants a reply gets a ready
     // future.
-    cctx.stats.count_local_rpc();
+    cctx.stats.count(&RmiStatsSnapshot::local_rpcs);
     if (oneway) {
       run_local(caller, target, site, args, scalars, seq, deadline, true);
       return RmiFuture();
@@ -712,7 +713,7 @@ RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
     }
     return RmiFuture(std::move(st));
   }
-  cctx.stats.count_remote_rpc();
+  cctx.stats.count(&RmiStatsSnapshot::remote_rpcs);
 
   // Only a call that wants a reply keeps pending state: a oneway call
   // allocates neither a slot nor a future.
@@ -788,8 +789,8 @@ RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
     // call immediately with the typed form instead of waiting out the ARQ
     // retransmit budget.
     if (st) drop_pending(cctx, seq);
-    cctx.stats.count_call_timeout();
-    cctx.stats.count_machine_down();
+    cctx.stats.count(&RmiStatsSnapshot::call_timeouts);
+    cctx.stats.count(&RmiStatsSnapshot::machine_down_failures);
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     throw MachineDown(e.machine(),
                       what(std::string(" failed fast: ") + e.what()));
@@ -798,7 +799,7 @@ RmiFuture RmiSystem::start_call(std::uint16_t caller, RemoteRef target,
     // failure is synchronous (virtual-time timers, not wall-clock), so it
     // converts directly into the typed caller-visible form.
     if (st) drop_pending(cctx, seq);
-    cctx.stats.count_call_timeout();
+    cctx.stats.count(&RmiStatsSnapshot::call_timeouts);
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     throw RmiTimeout(what(std::string(" undeliverable: ") + e.what()));
   }
@@ -824,7 +825,7 @@ om::ObjRef RmiSystem::finish_remote(AsyncCallState& st) {
       std::this_thread::get_id() == cctx.dispatcher.get_id() &&
       st.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     drop_pending(cctx, seq);
-    cctx.stats.count_call_timeout();
+    cctx.stats.count(&RmiStatsSnapshot::call_timeouts);
     trace_instant(trace::EventKind::CallTimeout, caller, callsite_id, seq);
     // Best-effort: tell the callee not to bother computing the reply.
     send_cancel_raw(caller, st.target.machine, callsite_id, seq);
@@ -1059,20 +1060,20 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       wire::Message replay;
       switch (admit_call(machine_id, ctx, key, &replay)) {
         case CallAdmission::InProgress:
-          ctx.stats.count_duplicate_call();
+          ctx.stats.count(&RmiStatsSnapshot::duplicate_calls);
           trace_instant(trace::EventKind::DuplicateDropped, machine_id,
                         h.callsite_id, h.seq);
           continue;
         case CallAdmission::Replied:
-          ctx.stats.count_duplicate_call();
+          ctx.stats.count(&RmiStatsSnapshot::duplicate_calls);
           if (oneway) continue;
-          ctx.stats.count_replayed_reply();
+          ctx.stats.count(&RmiStatsSnapshot::replayed_replies);
           trace_instant(trace::EventKind::ReplyReplayed, machine_id,
                         h.callsite_id, h.seq);
           try {
             cluster_.send(std::move(replay));
           } catch (const ProtocolError&) {
-            ctx.stats.count_undeliverable_reply();
+            ctx.stats.count(&RmiStatsSnapshot::undeliverable_replies);
           }
           continue;
         case CallAdmission::Fresh:
@@ -1092,7 +1093,7 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       // is wasted.  The Reject is cached as the call's tombstone.
       if (h.deadline_ns != 0 &&
           m.clock().now().as_nanos() >= h.deadline_ns) {
-        ctx.stats.count_deadline_reject();
+        ctx.stats.count(&RmiStatsSnapshot::deadline_rejects);
         trace_instant(trace::EventKind::DeadlineReject, machine_id,
                       h.callsite_id, h.seq);
         reject_call(ctx, token, wire::RejectCode::DeadlineExceeded,
@@ -1157,7 +1158,7 @@ void RmiSystem::dispatch_loop(std::uint16_t machine_id) {
       trace_instant(trace::EventKind::ReplyDeliver, machine_id,
                     h.callsite_id, seq);
     } else {
-      ctx.stats.count_stray_reply();
+      ctx.stats.count(&RmiStatsSnapshot::stray_replies);
     }
   }
 }
@@ -1261,7 +1262,7 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
   // tombstone answers any duplicate instead of re-execution.
   auto cancel_requested = [&] {
     if (!call.cancel || !call.cancel->requested()) return false;
-    ctx.stats.count_cancel_honored();
+    ctx.stats.count(&RmiStatsSnapshot::cancels_honored);
     trace_instant(trace::EventKind::CancelHonored, machine_id,
                   call.callsite_id, call.seq);
     return true;
@@ -1276,7 +1277,7 @@ void RmiSystem::execute_call(std::uint16_t machine_id, DecodedCall call) {
   }
   if (call.deadline_ns != 0 &&
       m.clock().now().as_nanos() >= call.deadline_ns) {
-    ctx.stats.count_deadline_reject();
+    ctx.stats.count(&RmiStatsSnapshot::deadline_rejects);
     trace_instant(trace::EventKind::DeadlineReject, machine_id,
                   call.callsite_id, call.seq);
     reject_call(ctx, token, wire::RejectCode::DeadlineExceeded,

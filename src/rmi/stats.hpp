@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "serial/stats.hpp"
+#include "support/field_list.hpp"
 
 namespace rmiopt::rmi {
 
@@ -37,45 +38,32 @@ struct CallSiteProfile {
   }
 };
 
+// Every RmiStatsSnapshot field, declared once (support/field_list.hpp).
+#define RMIOPT_RMI_STATS_FIELDS(X)                                             \
+  X(Counter, local_rpcs)                                                       \
+  X(Counter, remote_rpcs)                                                      \
+  X(serial::SerialStats, serial)                                               \
+  /* Reliability counters (all zero on a healthy run). */                      \
+  X(Counter, duplicate_calls)       /* calls suppressed by at-most-once */     \
+  X(Counter, replayed_replies)      /* cached replies re-sent verbatim */      \
+  X(Counter, stray_replies)         /* replies with no pending call */         \
+  X(Counter, call_timeouts)         /* invocations that raised RmiTimeout */   \
+  X(Counter, machine_down_failures) /* of which: typed MachineDown */          \
+  X(Counter, undeliverable_replies) /* replies lost to a dead link */          \
+  X(Counter, reply_cache_pins)      /* evictions skipped: call in flight */    \
+  /* Overload-robustness counters (all zero by default). */                    \
+  X(Counter, deadline_rejects)      /* calls refused: deadline already past */ \
+  X(Counter, cancels_sent)          /* CancelRequests this machine sent */     \
+  X(Counter, cancels_honored)       /* handlers/replies abandoned to cancel */ \
+  X(Counter, sheds)                 /* calls refused by admission control */   \
+  X(Counter, credit_stalls)         /* sends delayed by flow-control credit */ \
+  X(Counter, oneway_calls)          /* fire-and-forget invocations sent */
+
 struct RmiStatsSnapshot {
-  std::uint64_t local_rpcs = 0;
-  std::uint64_t remote_rpcs = 0;
-  serial::SerialStats serial;
-
-  // Reliability counters (all zero on a healthy run).
-  std::uint64_t duplicate_calls = 0;    // calls suppressed by at-most-once
-  std::uint64_t replayed_replies = 0;   // cached replies re-sent verbatim
-  std::uint64_t stray_replies = 0;      // replies with no pending call
-  std::uint64_t call_timeouts = 0;      // invocations that raised RmiTimeout
-  std::uint64_t machine_down_failures = 0;  // of which: typed MachineDown
-  std::uint64_t undeliverable_replies = 0;  // replies lost to a dead link
-  std::uint64_t reply_cache_pins = 0;   // evictions skipped: call in flight
-
-  // Overload-robustness counters (all zero under default configuration).
-  std::uint64_t deadline_rejects = 0;  // calls refused: deadline already past
-  std::uint64_t cancels_sent = 0;      // CancelRequests this machine sent
-  std::uint64_t cancels_honored = 0;   // handlers/replies abandoned to cancel
-  std::uint64_t sheds = 0;             // calls refused by admission control
-  std::uint64_t credit_stalls = 0;     // sends delayed by flow-control credit
-  std::uint64_t oneway_calls = 0;      // fire-and-forget invocations sent
+  RMIOPT_RMI_STATS_FIELDS(RMIOPT_DECLARE_FIELD)
 
   RmiStatsSnapshot& operator+=(const RmiStatsSnapshot& o) {
-    local_rpcs += o.local_rpcs;
-    remote_rpcs += o.remote_rpcs;
-    serial += o.serial;
-    duplicate_calls += o.duplicate_calls;
-    replayed_replies += o.replayed_replies;
-    stray_replies += o.stray_replies;
-    call_timeouts += o.call_timeouts;
-    machine_down_failures += o.machine_down_failures;
-    undeliverable_replies += o.undeliverable_replies;
-    reply_cache_pins += o.reply_cache_pins;
-    deadline_rejects += o.deadline_rejects;
-    cancels_sent += o.cancels_sent;
-    cancels_honored += o.cancels_honored;
-    sheds += o.sheds;
-    credit_stalls += o.credit_stalls;
-    oneway_calls += o.oneway_calls;
+    RMIOPT_RMI_STATS_FIELDS(RMIOPT_ADD_FIELD)
     return *this;
   }
 
@@ -88,71 +76,17 @@ struct RmiStatsSnapshot {
   }
 };
 
+// One machine's live counters, under one mutex; readers take a snapshot.
 class RmiStats {
  public:
-  void count_local_rpc() {
+  // ++ one counter, e.g. count(&RmiStatsSnapshot::sheds).
+  void count(std::uint64_t RmiStatsSnapshot::*counter) {
     std::scoped_lock lock(mu_);
-    ++snap_.local_rpcs;
-  }
-  void count_remote_rpc() {
-    std::scoped_lock lock(mu_);
-    ++snap_.remote_rpcs;
+    ++(snap_.*counter);
   }
   void add_pass(const serial::SerialStats& pass) {
     std::scoped_lock lock(mu_);
     snap_.serial += pass;
-  }
-  void count_duplicate_call() {
-    std::scoped_lock lock(mu_);
-    ++snap_.duplicate_calls;
-  }
-  void count_replayed_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.replayed_replies;
-  }
-  void count_stray_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.stray_replies;
-  }
-  void count_call_timeout() {
-    std::scoped_lock lock(mu_);
-    ++snap_.call_timeouts;
-  }
-  void count_machine_down() {
-    std::scoped_lock lock(mu_);
-    ++snap_.machine_down_failures;
-  }
-  void count_undeliverable_reply() {
-    std::scoped_lock lock(mu_);
-    ++snap_.undeliverable_replies;
-  }
-  void count_reply_cache_pin() {
-    std::scoped_lock lock(mu_);
-    ++snap_.reply_cache_pins;
-  }
-  void count_deadline_reject() {
-    std::scoped_lock lock(mu_);
-    ++snap_.deadline_rejects;
-  }
-  void count_cancel_sent() {
-    std::scoped_lock lock(mu_);
-    ++snap_.cancels_sent;
-  }
-  void count_cancel_honored() {
-    std::scoped_lock lock(mu_);
-    ++snap_.cancels_honored;
-  }
-  void count_shed() {
-    std::scoped_lock lock(mu_);
-    ++snap_.sheds;
-  }
-  void count_credit_stall() {
-    std::scoped_lock lock(mu_);
-    ++snap_.credit_stalls;
-  }
-  void count_oneway_call() {
-    std::scoped_lock lock(mu_);
-    ++snap_.oneway_calls;
   }
 
   RmiStatsSnapshot snapshot() const {

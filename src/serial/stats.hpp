@@ -8,47 +8,36 @@
 #include <cstdint>
 
 #include "serial/cost_model.hpp"
+#include "support/field_list.hpp"
 #include "support/sim_time.hpp"
 
 namespace rmiopt::serial {
 
+// Every SerialStats counter, declared once (support/field_list.hpp).
+#define RMIOPT_SERIAL_STATS_FIELDS(X)                                          \
+  X(Counter, serializer_invocations) /* dynamic serialize() calls */           \
+  X(Counter, fields_marshaled)       /* scalar fields moved */                 \
+  X(Counter, introspected_fields)    /* reflective walks (HEAVY only) */       \
+  X(Counter, bytes_copied)           /* bulk payload bytes (send) */           \
+  X(Counter, bytes_copied_rx)        /* bulk payload bytes (receive) */        \
+  X(Counter, gather_segments)        /* borrowed iovec segments (send) */      \
+  X(Counter, gather_bytes_borrowed)  /*   ... their payload volume */          \
+  X(Counter, recv_segments)          /* borrowed frame spans (receive) */      \
+  X(Counter, recv_bytes_borrowed)    /*   ... their payload volume */          \
+  X(Counter, cycle_lookups)          /* cycle-table probes */                  \
+  X(Counter, cycle_tables_created)                                             \
+  X(Counter, type_info_bytes)        /* wire bytes spent on types */           \
+  X(Counter, type_decodes)           /* receiver-side type resolution */       \
+  X(Counter, objects_allocated)      /* deserialization allocations */         \
+  X(Counter, bytes_allocated)        /*   ... their payload volume */          \
+  X(Counter, objects_reused)         /* reuse-cache hits (§3.3) */             \
+  X(Counter, objects_freed)          /* graphs released post-call */
+
 struct SerialStats {
-  std::uint64_t serializer_invocations = 0;  // dynamic serialize() calls
-  std::uint64_t fields_marshaled = 0;        // scalar fields moved
-  std::uint64_t introspected_fields = 0;     // reflective walks (HEAVY only)
-  std::uint64_t bytes_copied = 0;            // bulk payload bytes (send)
-  std::uint64_t bytes_copied_rx = 0;         // bulk payload bytes (receive)
-  std::uint64_t gather_segments = 0;         // borrowed iovec segments (send)
-  std::uint64_t gather_bytes_borrowed = 0;   //   ... their payload volume
-  std::uint64_t recv_segments = 0;           // borrowed frame spans (receive)
-  std::uint64_t recv_bytes_borrowed = 0;     //   ... their payload volume
-  std::uint64_t cycle_lookups = 0;           // cycle-table probes
-  std::uint64_t cycle_tables_created = 0;
-  std::uint64_t type_info_bytes = 0;         // wire bytes spent on types
-  std::uint64_t type_decodes = 0;            // receiver-side type resolution
-  std::uint64_t objects_allocated = 0;       // deserialization allocations
-  std::uint64_t bytes_allocated = 0;         //   ... their payload volume
-  std::uint64_t objects_reused = 0;          // reuse-cache hits (§3.3)
-  std::uint64_t objects_freed = 0;           // graphs released post-call
+  RMIOPT_SERIAL_STATS_FIELDS(RMIOPT_DECLARE_FIELD)
 
   SerialStats& operator+=(const SerialStats& o) {
-    serializer_invocations += o.serializer_invocations;
-    fields_marshaled += o.fields_marshaled;
-    introspected_fields += o.introspected_fields;
-    bytes_copied += o.bytes_copied;
-    bytes_copied_rx += o.bytes_copied_rx;
-    gather_segments += o.gather_segments;
-    gather_bytes_borrowed += o.gather_bytes_borrowed;
-    recv_segments += o.recv_segments;
-    recv_bytes_borrowed += o.recv_bytes_borrowed;
-    cycle_lookups += o.cycle_lookups;
-    cycle_tables_created += o.cycle_tables_created;
-    type_info_bytes += o.type_info_bytes;
-    type_decodes += o.type_decodes;
-    objects_allocated += o.objects_allocated;
-    bytes_allocated += o.bytes_allocated;
-    objects_reused += o.objects_reused;
-    objects_freed += o.objects_freed;
+    RMIOPT_SERIAL_STATS_FIELDS(RMIOPT_ADD_FIELD)
     return *this;
   }
 

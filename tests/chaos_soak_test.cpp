@@ -12,8 +12,8 @@
 //    livelock.
 //
 // Every assertion message carries (app, level, seed) so a violation
-// pinpoints the reproducing plan.  bench/ablation_chaos.cpp sweeps the
-// same harness over a wider seed range.
+// pinpoints the reproducing plan.  The harness (apps/chaos.hpp) is shared
+// with bench/ablation_chaos.cpp, which sweeps a wider seed range.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,152 +21,46 @@
 #include <map>
 #include <mutex>
 
-#include "apps/lu.hpp"
-#include "apps/microbench.hpp"
-#include "apps/superopt.hpp"
-#include "apps/webserver.hpp"
+#include "apps/chaos.hpp"
 #include "rmi/runtime.hpp"
 #include "support/rng.hpp"
 
 namespace rmiopt {
 namespace {
 
+using apps::chaos_detector;
+using apps::chaos_plan;
 using codegen::OptLevel;
 
-constexpr OptLevel kLevels[] = {OptLevel::Class, OptLevel::Site,
-                                OptLevel::SiteCycle, OptLevel::SiteReuse,
-                                OptLevel::SiteReuseCycle};
 constexpr std::uint64_t kSeeds[] = {1001, 2002};
 
-// Randomized-but-seeded fault plan: lossy links everywhere, plus (for the
-// webserver, whose replicas make a death survivable) one crashed machine.
-// Machine 0 is never crashed — it anchors the registry and the detector.
-net::FaultPlan chaos_plan(std::uint64_t seed, std::size_t machines,
-                          bool allow_crash) {
-  net::FaultPlan plan;
-  plan.seed = seed;
-  SplitMix64 rng(seed ^ 0x9e3779b97f4a7c15ull);
-  plan.default_link.drop = 0.06 * rng.next_double();
-  plan.default_link.duplicate = 0.05 * rng.next_double();
-  plan.default_link.reorder = 0.05 * rng.next_double();
-  plan.default_link.corrupt = 0.04 * rng.next_double();
-  if (allow_crash && machines > 2) {
-    const auto victim = static_cast<std::uint16_t>(
-        1 + rng.next_below(static_cast<std::uint64_t>(machines) - 1));
-    const auto at = static_cast<std::int64_t>(
-        200'000 + rng.next_below(2'000'000));
-    plan.crash_at(victim, at);
-  }
-  return plan;
-}
-
-net::FailureDetectorConfig chaos_detector() {
-  net::FailureDetectorConfig d;
-  d.enabled = true;
-  return d;
-}
-
-// One clean + N seeded runs of one app at one level; asserts the
+// One clean + N seeded runs of one app at every level; asserts the
 // invariants per seed.
-template <typename Runner>
-void soak(const char* app, OptLevel level, std::size_t machines,
-          bool allow_crash, const Runner& run) {
-  const apps::RunResult clean = run(net::FaultPlan{}, {});
-  for (const std::uint64_t seed : kSeeds) {
-    const net::FaultPlan plan = chaos_plan(seed, machines, allow_crash);
-    const apps::RunResult r = run(plan, chaos_detector());
-    const std::string where = std::string("app=") + app +
-                              " level=" + std::string(to_string(level)) +
-                              " seed=" + std::to_string(seed);
-    ASSERT_DOUBLE_EQ(r.check, clean.check)
-        << where << ": chaos changed the application result";
-    // Generous but finite: a livelock or an unmasked fault storm blows
-    // straight past 20x the healthy makespan plus slack.
-    ASSERT_LE(r.makespan.as_nanos(),
-              20 * clean.makespan.as_nanos() + 100'000'000)
-        << where << ": makespan unbounded under chaos (clean="
-        << clean.makespan.as_nanos() << " ns)";
+void soak(const apps::ChaosApp& app) {
+  for (const OptLevel level : codegen::kPaperLevels) {
+    const apps::RunResult clean = app.run(level, {});
+    for (const std::uint64_t seed : kSeeds) {
+      const apps::RunResult r = app.run(level, app.env(seed));
+      const std::string where = std::string("app=") + app.name +
+                                " level=" + std::string(to_string(level)) +
+                                " seed=" + std::to_string(seed);
+      ASSERT_DOUBLE_EQ(r.check, clean.check)
+          << where << ": chaos changed the application result";
+      // Generous but finite: a livelock or an unmasked fault storm blows
+      // straight past 20x the healthy makespan plus slack.
+      ASSERT_LE(r.makespan.as_nanos(),
+                20 * clean.makespan.as_nanos() + 100'000'000)
+          << where << ": makespan unbounded under chaos (clean="
+          << clean.makespan.as_nanos() << " ns)";
+    }
   }
 }
 
-TEST(ChaosSoak, LinkedList) {
-  for (const OptLevel level : kLevels) {
-    soak("list", level, 2, /*allow_crash=*/false,
-         [&](const net::FaultPlan& plan,
-             const net::FailureDetectorConfig& det) {
-           apps::ListBenchConfig cfg;
-           cfg.list_length = 16;
-           cfg.iterations = 6;
-           cfg.faults = plan;
-           cfg.detector = det;
-           return run_list_bench(level, cfg);
-         });
-  }
-}
-
-TEST(ChaosSoak, Array2d) {
-  for (const OptLevel level : kLevels) {
-    soak("array", level, 2, /*allow_crash=*/false,
-         [&](const net::FaultPlan& plan,
-             const net::FailureDetectorConfig& det) {
-           apps::ArrayBenchConfig cfg;
-           cfg.rows = 8;
-           cfg.cols = 8;
-           cfg.iterations = 6;
-           cfg.faults = plan;
-           cfg.detector = det;
-           return run_array_bench(level, cfg);
-         });
-  }
-}
-
-TEST(ChaosSoak, Lu) {
-  for (const OptLevel level : kLevels) {
-    soak("lu", level, 2, /*allow_crash=*/false,
-         [&](const net::FaultPlan& plan,
-             const net::FailureDetectorConfig& det) {
-           apps::LuConfig cfg;
-           cfg.n = 20;
-           cfg.faults = plan;
-           cfg.detector = det;
-           return run_lu(level, cfg);
-         });
-  }
-}
-
-TEST(ChaosSoak, Superopt) {
-  for (const OptLevel level : kLevels) {
-    soak("superopt", level, 3, /*allow_crash=*/false,
-         [&](const net::FaultPlan& plan,
-             const net::FailureDetectorConfig& det) {
-           apps::SuperoptConfig cfg;
-           cfg.max_len = 1;
-           cfg.test_vectors = 4;
-           cfg.machines = 3;
-           cfg.faults = plan;
-           cfg.detector = det;
-           return run_superopt(level, cfg);
-         });
-  }
-}
-
-TEST(ChaosSoak, Webserver) {
-  for (const OptLevel level : kLevels) {
-    soak("webserver", level, 4, /*allow_crash=*/true,
-         [&](const net::FaultPlan& plan,
-             const net::FailureDetectorConfig& det) {
-           apps::WebserverConfig cfg;
-           cfg.machines = 4;
-           cfg.pages = 8;
-           cfg.page_size = 128;
-           cfg.requests = 30;
-           cfg.call_timeout_ms = 5'000;  // real-time backstop, not the path
-           cfg.faults = plan;
-           cfg.detector = det;
-           return run_webserver(level, cfg);
-         });
-  }
-}
+TEST(ChaosSoak, LinkedList) { soak(apps::kChaosApps[0]); }
+TEST(ChaosSoak, Array2d) { soak(apps::kChaosApps[1]); }
+TEST(ChaosSoak, Lu) { soak(apps::kChaosApps[2]); }
+TEST(ChaosSoak, Superopt) { soak(apps::kChaosApps[3]); }
+TEST(ChaosSoak, Webserver) { soak(apps::kChaosApps[4]); }
 
 // Deadlines, cancellation and admission control under the same seeded
 // chaos: a nested-call topology (0 -> 1, which fans out to 2) driven

@@ -234,7 +234,7 @@ TEST(FaultMasking, ArrayBenchIsCorrectAtEveryLevel) {
     apps::ArrayBenchConfig cfg;
     cfg.iterations = 20;
     const apps::RunResult clean = apps::run_array_bench(level, cfg);
-    cfg.faults = lossy_plan(7);
+    cfg.env.faults = lossy_plan(7);
     const apps::RunResult faulty = apps::run_array_bench(level, cfg);
 
     EXPECT_EQ(faulty.check, clean.check) << codegen::to_string(level);
@@ -252,7 +252,7 @@ TEST(FaultMasking, LinkedListBenchIsCorrectAtEveryLevel) {
     apps::ListBenchConfig cfg;
     cfg.iterations = 40;  // enough frames that the 5% drop rate must hit
     const apps::RunResult clean = apps::run_list_bench(level, cfg);
-    cfg.faults = lossy_plan(11);
+    cfg.env.faults = lossy_plan(11);
     const apps::RunResult faulty = apps::run_list_bench(level, cfg);
     EXPECT_EQ(faulty.check, clean.check) << codegen::to_string(level);
     EXPECT_EQ(faulty.total, clean.total) << codegen::to_string(level);
@@ -264,7 +264,7 @@ TEST(FaultMasking, LuStaysNumericallyCorrectAtEveryLevel) {
   for (OptLevel level : codegen::kPaperLevels) {
     apps::LuConfig cfg;
     cfg.n = 16;
-    cfg.faults = lossy_plan(13);
+    cfg.env.faults = lossy_plan(13);
     const apps::RunResult r = apps::run_lu(level, cfg);
     EXPECT_LT(r.check, 1e-9) << codegen::to_string(level);
     EXPECT_GT(r.net.faults(), 0u);
@@ -275,7 +275,7 @@ TEST(FaultMasking, SuperoptFindsTheSameSequencesAtEveryLevel) {
   for (OptLevel level : codegen::kPaperLevels) {
     apps::SuperoptConfig cfg;
     const apps::RunResult clean = apps::run_superopt(level, cfg);
-    cfg.faults = lossy_plan(17);
+    cfg.env.faults = lossy_plan(17);
     const apps::RunResult faulty = apps::run_superopt(level, cfg);
     EXPECT_EQ(faulty.check, clean.check) << codegen::to_string(level);
     EXPECT_GT(faulty.net.faults(), 0u);
@@ -286,7 +286,7 @@ TEST(FaultMasking, WebserverServesEveryPageAtEveryLevel) {
   for (OptLevel level : codegen::kPaperLevels) {
     apps::WebserverConfig cfg;
     cfg.requests = 100;
-    cfg.faults = lossy_plan(19);
+    cfg.env.faults = lossy_plan(19);
     const apps::RunResult r = apps::run_webserver(level, cfg);
     EXPECT_DOUBLE_EQ(r.check, 100.0 * cfg.page_size)
         << codegen::to_string(level);
@@ -300,7 +300,7 @@ TEST(FaultMasking, WebserverServesEveryPageAtEveryLevel) {
 TEST(FaultDeterminism, SameSeedSameRunBitForBit) {
   apps::ArrayBenchConfig cfg;
   cfg.iterations = 20;
-  cfg.faults = lossy_plan(23);
+  cfg.env.faults = lossy_plan(23);
   const apps::RunResult a =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
   const apps::RunResult b =
@@ -314,10 +314,10 @@ TEST(FaultDeterminism, SameSeedSameRunBitForBit) {
 TEST(FaultDeterminism, DifferentSeedDifferentFaultSchedule) {
   apps::ArrayBenchConfig cfg;
   cfg.iterations = 20;
-  cfg.faults = lossy_plan(23);
+  cfg.env.faults = lossy_plan(23);
   const apps::RunResult a =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
-  cfg.faults = lossy_plan(24);
+  cfg.env.faults = lossy_plan(24);
   const apps::RunResult b =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
   EXPECT_EQ(a.check, b.check);  // both still correct
@@ -327,11 +327,11 @@ TEST(FaultDeterminism, DifferentSeedDifferentFaultSchedule) {
 TEST(FaultDeterminism, SimAndLoopbackBackendsAgreeUnderTheSamePlan) {
   apps::ArrayBenchConfig cfg;
   cfg.iterations = 20;
-  cfg.faults = lossy_plan(29);
-  cfg.transport = net::TransportKind::Sim;
+  cfg.env.faults = lossy_plan(29);
+  cfg.env.transport = net::TransportKind::Sim;
   const apps::RunResult sim =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
-  cfg.transport = net::TransportKind::Loopback;
+  cfg.env.transport = net::TransportKind::Loopback;
   const apps::RunResult loop =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
   EXPECT_EQ(sim.makespan.as_nanos(), loop.makespan.as_nanos());
@@ -345,7 +345,7 @@ TEST(FaultDeterminism, FaultFreePlanLeavesTheRunUntouched) {
   cfg.iterations = 20;
   const apps::RunResult bare =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
-  cfg.faults.seed = 42;  // a seed alone injects nothing
+  cfg.env.faults.seed = 42;  // a seed alone injects nothing
   const apps::RunResult seeded =
       apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
   EXPECT_EQ(bare.makespan.as_nanos(), seeded.makespan.as_nanos());
@@ -360,7 +360,7 @@ TEST(Failover, WebserverMasksASlaveDeadFromStartup) {
   apps::WebserverConfig cfg;
   cfg.machines = 4;  // master + 3 slaves
   cfg.requests = 60;
-  cfg.faults.crash_at(2, 0);  // slave machine 2 never comes up
+  cfg.env.faults.crash_at(2, 0);  // slave machine 2 never comes up
   const apps::RunResult r =
       apps::run_webserver(OptLevel::SiteReuseCycle, cfg);
   EXPECT_DOUBLE_EQ(r.check, 60.0 * cfg.page_size);
@@ -376,7 +376,7 @@ TEST(Failover, WebserverReRoutesMidRunWhenALinkDies) {
   // The master's link to slave machine 1 silently eats every frame: the
   // first request routed there exhausts the ARQ, raises RmiTimeout, and
   // the master re-binds that slave's name to the survivor.
-  cfg.faults.set_link(0, 1, {.drop = 1.0});
+  cfg.env.faults.set_link(0, 1, {.drop = 1.0});
   // The slave's bind *call* gets through but its reply is eaten, so that
   // caller can only recover via the real-time backstop — keep it short.
   cfg.call_timeout_ms = 1'000;

@@ -250,13 +250,13 @@ TEST(GatherSendEndToEnd, LossyLinkRetransmitsDeliverCorrectResults) {
     cfg.rows = 16;
     cfg.cols = 16;
     cfg.iterations = 60;
-    cfg.cost.zero_copy_send = true;
-    cfg.transport = tk;
-    cfg.faults.seed = 0x5EA1;
-    cfg.faults.default_link = {.drop = 0.08};
+    cfg.env.cost.zero_copy_send = true;
+    cfg.env.transport = tk;
+    cfg.env.faults.seed = 0x5EA1;
+    cfg.env.faults.default_link = {.drop = 0.08};
 
     apps::ArrayBenchConfig base = cfg;
-    base.cost.zero_copy_send = false;
+    base.env.cost.zero_copy_send = false;
 
     const apps::RunResult gathered =
         apps::run_array_bench(codegen::OptLevel::Site, cfg);

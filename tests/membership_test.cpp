@@ -111,7 +111,7 @@ TEST(FailureDetector, EnabledDetectorLeavesAHealthyRunsTimelineUntouched) {
   apps::ListBenchConfig base;
   base.iterations = 20;
   apps::ListBenchConfig probed = base;
-  probed.detector = enabled_detector();
+  probed.env.detector = enabled_detector();
 
   const apps::RunResult off = run_list_bench(OptLevel::SiteCycle, base);
   const apps::RunResult on = run_list_bench(OptLevel::SiteCycle, probed);
@@ -141,13 +141,13 @@ TEST(FailureDetector, DetectionTimelineIsDeterministicAcrossBackends) {
   cfg.requests = 40;
   cfg.pages = 16;
   cfg.page_size = 256;
-  cfg.faults.seed = 11;
-  cfg.faults.crash_at(2, 200'000);
-  cfg.detector = enabled_detector();
+  cfg.env.faults.seed = 11;
+  cfg.env.faults.crash_at(2, 200'000);
+  cfg.env.detector = enabled_detector();
 
-  cfg.transport = net::TransportKind::Sim;
+  cfg.env.transport = net::TransportKind::Sim;
   const apps::RunResult sim = run_webserver(OptLevel::SiteReuseCycle, cfg);
-  cfg.transport = net::TransportKind::Loopback;
+  cfg.env.transport = net::TransportKind::Loopback;
   const apps::RunResult loop = run_webserver(OptLevel::SiteReuseCycle, cfg);
 
   // The makespan of a crash-failover run carries the same small
@@ -396,8 +396,8 @@ TEST(ReplicatedNamesE2E, DetectorRebindsAheadOfTheArqBudget) {
   cfg.requests = 40;
   cfg.pages = 16;
   cfg.page_size = 256;
-  cfg.faults.crash_at(2, 0);  // a slave is dead from the start
-  cfg.detector = enabled_detector();
+  cfg.env.faults.crash_at(2, 0);  // a slave is dead from the start
+  cfg.env.detector = enabled_detector();
   const apps::RunResult r = run_webserver(OptLevel::SiteReuseCycle, cfg);
   EXPECT_DOUBLE_EQ(r.check, static_cast<double>(cfg.requests * cfg.page_size));
   EXPECT_GE(r.failovers, 1u);

@@ -659,9 +659,11 @@ TEST_F(OverloadTest, AdmissionDecisionsAreDeterministic) {
 
 // A credit stall spends part of the call's budget, so the deadline is
 // checked again before anything is serialized — for both entry points.
+// The refused call was never sent, so it must not hold one of the callee's
+// two modelled inbox slots: the next plain call still finds one free.
 TEST_F(OverloadTest, AsyncCallRechecksItsDeadlineAfterACreditStall) {
   ExecutorConfig exec;
-  exec.inbox_bound = 4;
+  exec.inbox_bound = 2;
   exec.inbox_highwater = 1;
   exec.credit_stall_ns = 200'000;
   exec.admission_service_ns = SimTime::seconds(1).as_nanos();
@@ -684,15 +686,22 @@ TEST_F(OverloadTest, AsyncCallRechecksItsDeadlineAfterACreditStall) {
               std::string::npos)
         << e.what();
   }
-  sys->stop();
   EXPECT_EQ(sys->stats(0).credit_stalls, 1u);
   EXPECT_EQ(sys->stats(0).deadline_rejects, 1u);
+  // Backlog depth still 1: the next call is admitted into the second slot
+  // (after one credit stall), and only the call after it is shed.
+  sys->invoke_oneway(0, ref, cs, {});
+  EXPECT_THROW(sys->invoke_oneway(0, ref, cs, {}), Overload);
+  sys->stop();
+  EXPECT_EQ(sys->stats(0).credit_stalls, 2u);
+  EXPECT_EQ(sys->stats(0).sheds, 1u);
+  EXPECT_EQ(sys->stats(0).remote_rpcs, 2u);
   EXPECT_EQ(sys->stats(1).deadline_rejects, 0u);  // never sent
 }
 
 TEST_F(OverloadTest, OnewayCallRechecksItsDeadlineAfterACreditStall) {
   ExecutorConfig exec;
-  exec.inbox_bound = 4;
+  exec.inbox_bound = 2;
   exec.inbox_highwater = 1;
   exec.credit_stall_ns = 200'000;
   exec.admission_service_ns = SimTime::seconds(1).as_nanos();
@@ -718,10 +727,17 @@ TEST_F(OverloadTest, OnewayCallRechecksItsDeadlineAfterACreditStall) {
               std::string::npos)
         << e.what();
   }
-  sys->stop();
-  EXPECT_EQ(ran.load(), 1);  // only the first oneway reached the callee
   EXPECT_EQ(sys->stats(0).credit_stalls, 1u);
   EXPECT_EQ(sys->stats(0).deadline_rejects, 1u);
+  // Backlog depth still 1: the next call is admitted into the second slot
+  // (after one credit stall), and only the call after it is shed.
+  sys->invoke_oneway(0, ref, cs, {});
+  EXPECT_THROW(sys->invoke_oneway(0, ref, cs, {}), Overload);
+  sys->stop();
+  EXPECT_EQ(ran.load(), 2);  // the refused and the shed call never arrived
+  EXPECT_EQ(sys->stats(0).credit_stalls, 2u);
+  EXPECT_EQ(sys->stats(0).sheds, 1u);
+  EXPECT_EQ(sys->stats(0).remote_rpcs, 2u);
   EXPECT_EQ(sys->stats(1).deadline_rejects, 0u);  // never sent
 }
 

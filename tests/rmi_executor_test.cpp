@@ -240,7 +240,7 @@ TEST_F(ExecutorRmiTest, ReuseCacheStaysCoherentUnderConcurrentCallers) {
 TEST(ExecutorApps, ApplicationsStayCorrectWithTwoWorkers) {
   apps::ArrayBenchConfig array_cfg;
   array_cfg.iterations = 50;
-  array_cfg.dispatch_workers = 2;
+  array_cfg.env.dispatch_workers = 2;
   const auto array = apps::run_array_bench(
       codegen::OptLevel::SiteReuseCycle, array_cfg);
   EXPECT_DOUBLE_EQ(array.check, 50.0 * 49.0 / 2.0);  // sum of iteration ids
@@ -248,7 +248,7 @@ TEST(ExecutorApps, ApplicationsStayCorrectWithTwoWorkers) {
   apps::WebserverConfig web_cfg;
   web_cfg.requests = 100;
   web_cfg.concurrent_clients = 4;
-  web_cfg.dispatch_workers = 2;
+  web_cfg.env.dispatch_workers = 2;
   const auto web =
       apps::run_webserver(codegen::OptLevel::SiteReuseCycle, web_cfg);
   EXPECT_DOUBLE_EQ(web.check, 100.0 * web_cfg.page_size);
@@ -256,7 +256,7 @@ TEST(ExecutorApps, ApplicationsStayCorrectWithTwoWorkers) {
   // LU's step barrier is a deferred-reply RMI; the pool must not break it.
   apps::LuConfig lu_cfg;
   lu_cfg.n = 16;
-  lu_cfg.dispatch_workers = 2;
+  lu_cfg.env.dispatch_workers = 2;
   const auto lu = apps::run_lu(codegen::OptLevel::SiteReuseCycle, lu_cfg);
   EXPECT_LT(lu.check, 1e-9);
 }

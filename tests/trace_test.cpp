@@ -24,23 +24,7 @@ namespace {
 
 using codegen::OptLevel;
 
-// ---- zero perturbation ------------------------------------------------------
-
-TEST(Trace, RecorderLeavesTheSimulationUntouched) {
-  const apps::ArrayBenchConfig off;
-  const apps::RunResult a = apps::run_array_bench(OptLevel::SiteReuseCycle, off);
-
-  trace::MemoryRecorder rec;
-  apps::ArrayBenchConfig on;
-  on.recorder = &rec;
-  const apps::RunResult b = apps::run_array_bench(OptLevel::SiteReuseCycle, on);
-
-  EXPECT_EQ(a.makespan.as_nanos(), b.makespan.as_nanos());
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.net, b.net);
-  EXPECT_DOUBLE_EQ(a.check, b.check);
-  EXPECT_GT(rec.size(), 0u);  // and yet the trace is not empty
-}
+// Zero perturbation, app by app, is AppConfig.EveryAppHonorsItsRunEnv.
 
 // ---- events agree with the runtime counters --------------------------------
 
@@ -48,7 +32,7 @@ TEST(Trace, CallSpansMatchTheRmiCounters) {
   trace::MemoryRecorder rec;
   apps::WebserverConfig cfg;
   cfg.requests = 50;
-  cfg.recorder = &rec;
+  cfg.env.recorder = &rec;
   const apps::RunResult r =
       apps::run_webserver(OptLevel::SiteReuseCycle, cfg);
 
@@ -74,7 +58,7 @@ TEST(Trace, SerializePassesCarryRealTimeAndVirtualCost) {
   trace::MemoryRecorder rec;
   apps::ArrayBenchConfig cfg;
   cfg.iterations = 10;
-  cfg.recorder = &rec;
+  cfg.env.recorder = &rec;
   apps::run_array_bench(OptLevel::SiteReuseCycle, cfg);
 
   const auto ser = rec.events_of(trace::EventKind::Serialize);
@@ -96,9 +80,9 @@ TEST(Trace, FaultEventsAppearOnlyOnTheFaultyLink) {
   trace::MemoryRecorder rec;
   apps::WebserverConfig cfg;
   cfg.requests = 300;
-  cfg.faults.seed = 99;
-  cfg.faults.set_link(0, 1, {.drop = 0.05, .duplicate = 0.05});
-  cfg.recorder = &rec;
+  cfg.env.faults.seed = 99;
+  cfg.env.faults.set_link(0, 1, {.drop = 0.05, .duplicate = 0.05});
+  cfg.env.recorder = &rec;
   const apps::RunResult r =
       apps::run_webserver(OptLevel::SiteReuseCycle, cfg);
   EXPECT_DOUBLE_EQ(r.check,
@@ -128,7 +112,7 @@ TEST(Trace, ProfileAggregatesInvocationsAndLatency) {
   trace::MemoryRecorder rec;
   apps::WebserverConfig cfg;
   cfg.requests = 50;
-  cfg.recorder = &rec;
+  cfg.env.recorder = &rec;
   const apps::RunResult r =
       apps::run_webserver(OptLevel::SiteReuseCycle, cfg);
 
@@ -223,7 +207,7 @@ TEST(Trace, ChromeTraceJsonHasNamedTracksAndMonotoneTimestamps) {
   trace::MemoryRecorder rec;
   apps::WebserverConfig cfg;
   cfg.requests = 30;
-  cfg.recorder = &rec;
+  cfg.env.recorder = &rec;
   apps::run_webserver(OptLevel::SiteReuseCycle, cfg);
 
   const std::string json = trace::chrome_trace_json(rec.events());

@@ -11,6 +11,8 @@
 // numerical correctness.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "apps/lu.hpp"
 #include "apps/microbench.hpp"
 #include "apps/webserver.hpp"
@@ -35,14 +37,22 @@ void expect_same_run(const RunResult& sim, const RunResult& loop,
   EXPECT_DOUBLE_EQ(sim.check, loop.check);
 }
 
+// Runs one app config on each backend, the rest of its RunEnv unchanged;
+// returns {sim, loopback}.
+template <typename Config>
+std::array<RunResult, 2> run_both(RunResult (*run)(OptLevel, const Config&),
+                                  OptLevel level, Config cfg) {
+  cfg.env.transport = net::TransportKind::Sim;
+  RunResult sim = run(level, cfg);
+  cfg.env.transport = net::TransportKind::Loopback;
+  return {std::move(sim), run(level, cfg)};
+}
+
 TEST(TransportEquivalence, LinkedListAllLevels) {
   for (OptLevel level : codegen::kPaperLevels) {
     ListBenchConfig cfg;
     cfg.iterations = 20;
-    cfg.transport = net::TransportKind::Sim;
-    const RunResult sim = run_list_bench(level, cfg);
-    cfg.transport = net::TransportKind::Loopback;
-    const RunResult loop = run_list_bench(level, cfg);
+    const auto [sim, loop] = run_both(run_list_bench, level, cfg);
     expect_same_run(sim, loop);
   }
 }
@@ -51,10 +61,7 @@ TEST(TransportEquivalence, ArrayAllLevels) {
   for (OptLevel level : codegen::kPaperLevels) {
     ArrayBenchConfig cfg;
     cfg.iterations = 20;
-    cfg.transport = net::TransportKind::Sim;
-    const RunResult sim = run_array_bench(level, cfg);
-    cfg.transport = net::TransportKind::Loopback;
-    const RunResult loop = run_array_bench(level, cfg);
+    const auto [sim, loop] = run_both(run_array_bench, level, cfg);
     expect_same_run(sim, loop);
   }
 }
@@ -63,10 +70,7 @@ TEST(TransportEquivalence, WebserverMatchesExactly) {
   for (OptLevel level : {OptLevel::Class, OptLevel::SiteReuseCycle}) {
     WebserverConfig cfg;
     cfg.requests = 100;
-    cfg.transport = net::TransportKind::Sim;
-    const RunResult sim = run_webserver(level, cfg);
-    cfg.transport = net::TransportKind::Loopback;
-    const RunResult loop = run_webserver(level, cfg);
+    const auto [sim, loop] = run_both(run_webserver, level, cfg);
     expect_same_run(sim, loop);
     EXPECT_DOUBLE_EQ(sim.check, 100.0 * cfg.page_size);
   }
@@ -75,10 +79,7 @@ TEST(TransportEquivalence, WebserverMatchesExactly) {
 TEST(TransportEquivalence, LuMatchesOnDeterministicObservables) {
   LuConfig cfg;
   cfg.n = 16;
-  cfg.transport = net::TransportKind::Sim;
-  const RunResult sim = run_lu(OptLevel::SiteReuseCycle, cfg);
-  cfg.transport = net::TransportKind::Loopback;
-  const RunResult loop = run_lu(OptLevel::SiteReuseCycle, cfg);
+  const auto [sim, loop] = run_both(run_lu, OptLevel::SiteReuseCycle, cfg);
   // Thread interleaving makes LU's makespan noisy on *both* backends;
   // everything the serializers and the network counted must still agree.
   expect_same_run(sim, loop, /*compare_makespan=*/false);

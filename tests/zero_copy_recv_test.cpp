@@ -364,13 +364,13 @@ TEST(ZeroCopyRecvEndToEnd, DuplicatedFramesNeverAliasRecycledBuffers) {
   cfg.rows = 16;
   cfg.cols = 16;
   cfg.iterations = 120;
-  cfg.cost.zero_copy_receive = true;
-  cfg.faults.seed = 0xD0B1E;
-  cfg.faults.default_link = {.duplicate = 0.15, .reorder = 0.05};
+  cfg.env.cost.zero_copy_receive = true;
+  cfg.env.faults.seed = 0xD0B1E;
+  cfg.env.faults.default_link = {.duplicate = 0.15, .reorder = 0.05};
 
   apps::ArrayBenchConfig clean = cfg;
-  clean.cost.zero_copy_receive = false;
-  clean.faults = {};
+  clean.env.cost.zero_copy_receive = false;
+  clean.env.faults = {};
 
   const apps::RunResult faulty =
       apps::run_array_bench(codegen::OptLevel::SiteReuseCycle, cfg);
